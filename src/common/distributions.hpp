@@ -4,33 +4,69 @@
 // blocks of the synthetic WorldCup'98 trace generator (src/trace).
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/prng.hpp"
 
 namespace agtram::common {
 
+/// Inverted-CDF index search with a guide table (Chen & Asau, 1974).
+///
+/// find(u) returns exactly what std::lower_bound over the table would: the
+/// first i with cdf[i] >= u.  guide_[g] is that index for u = g/n, so a
+/// lookup starts at guide_[floor(u*n)], steps back while the previous entry
+/// still covers u (the floating-point floor can overshoot), then steps
+/// forward to the first entry >= u: O(1) expected steps for uniform u, and
+/// the same answer as an O(log n) binary search, so samplers built on it
+/// keep their exact draw sequences.
+class GuidedCdf {
+ public:
+  /// `cdf` must be non-decreasing and end at exactly 1.0.
+  explicit GuidedCdf(std::vector<double> cdf)
+      : cdf_(std::move(cdf)), guide_(cdf_.size()) {
+    assert(!cdf_.empty() && cdf_.back() == 1.0);
+    const double n = static_cast<double>(cdf_.size());
+    std::size_t i = 0;
+    for (std::size_t g = 0; g < guide_.size(); ++g) {
+      const double u = static_cast<double>(g) / n;
+      while (cdf_[i] < u) ++i;
+      guide_[g] = i;
+    }
+  }
+
+  std::size_t size() const noexcept { return cdf_.size(); }
+  double operator[](std::size_t i) const { return cdf_[i]; }
+
+  /// First index whose cumulative mass is >= u, for u in [0, 1].
+  std::size_t find(double u) const {
+    const std::size_t last = cdf_.size() - 1;
+    std::size_t i = guide_[std::min(
+        static_cast<std::size_t>(u * static_cast<double>(cdf_.size())), last)];
+    while (i > 0 && cdf_[i - 1] >= u) --i;
+    while (i < last && cdf_[i] < u) ++i;
+    return i;
+  }
+
+ private:
+  std::vector<double> cdf_;
+  std::vector<std::size_t> guide_;
+};
+
 /// Zipf(s) sampler over ranks {0, ..., n-1}: P(rank = i) ∝ 1/(i+1)^s.
 ///
-/// Uses an inverted-CDF table (O(n) memory, O(log n) per sample), which is
-/// exact and fast for the n ≤ a few hundred thousand used here.
+/// Uses an inverted-CDF table with a guide (O(n) memory, O(1) expected per
+/// sample), which is exact and fast for the n ≤ a few hundred thousand used
+/// here.
 class ZipfSampler {
  public:
-  ZipfSampler(std::size_t n, double exponent) : cdf_(n), exponent_(exponent) {
-    assert(n > 0);
-    double acc = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      acc += 1.0 / std::pow(static_cast<double>(i + 1), exponent);
-      cdf_[i] = acc;
-    }
-    const double norm = 1.0 / acc;
-    for (double& v : cdf_) v *= norm;
-    cdf_.back() = 1.0;  // guard against rounding
-  }
+  ZipfSampler(std::size_t n, double exponent)
+      : cdf_(zipf_cdf(n, exponent)), exponent_(exponent) {}
 
   std::size_t size() const noexcept { return cdf_.size(); }
   double exponent() const noexcept { return exponent_; }
@@ -40,23 +76,24 @@ class ZipfSampler {
     return rank == 0 ? cdf_[0] : cdf_[rank] - cdf_[rank - 1];
   }
 
-  std::size_t operator()(Rng& rng) const {
-    const double u = rng.uniform();
-    // Binary search for the first cdf entry >= u.
-    std::size_t lo = 0, hi = cdf_.size() - 1;
-    while (lo < hi) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      if (cdf_[mid] < u) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    return lo;
-  }
+  std::size_t operator()(Rng& rng) const { return cdf_.find(rng.uniform()); }
 
  private:
-  std::vector<double> cdf_;
+  static std::vector<double> zipf_cdf(std::size_t n, double exponent) {
+    assert(n > 0);
+    std::vector<double> cdf(n);
+    double acc = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      acc += 1.0 / std::pow(static_cast<double>(i + 1), exponent);
+      cdf[i] = acc;
+    }
+    const double norm = 1.0 / acc;
+    for (double& v : cdf) v *= norm;
+    cdf.back() = 1.0;  // guard against rounding
+    return cdf;
+  }
+
+  GuidedCdf cdf_;
   double exponent_;
 };
 

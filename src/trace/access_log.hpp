@@ -35,8 +35,10 @@ struct DayLog {
 /// Whitespace-separated "day client object units" lines.
 void write_day_log(std::ostream& os, const DayLog& log);
 
-/// Parses lines produced by write_day_log; throws std::runtime_error on
-/// malformed input.  Stops at EOF.
+/// Parses lines produced by write_day_log: exactly four unsigned decimal
+/// fields per line, each fitting 32 bits.  Throws std::runtime_error, naming
+/// the line number, on anything else (signs, fractions, extra tokens,
+/// overflow) or on mixed day indices.  Empty lines are skipped; stops at EOF.
 DayLog read_day_log(std::istream& is);
 
 }  // namespace agtram::trace

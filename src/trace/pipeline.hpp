@@ -70,7 +70,15 @@ std::vector<ClientId> top_clients(const std::vector<DayLog>& days,
 std::vector<std::vector<std::uint32_t>> map_clients_to_servers(
     const std::vector<ClientId>& clients, const PipelineConfig& cfg);
 
-/// Full pipeline.  Deterministic in (days, cfg).
+/// Full pipeline.  Deterministic in (days, cfg) for a given standard
+/// library: the pseudo-random remainder split walks the (client, object)
+/// pairs in the iteration order of a std::unordered_map<u64, u64> keyed
+/// client * objects + object that received each pair once, at its first
+/// request.  That order is not specified by the C++ standard, so another
+/// standard library may split remainders differently (per-object totals,
+/// object catalogue and size statistics do not depend on it).  The trace
+/// goldens pin the libstdc++ order; a portable canonical pair order is
+/// deferred because adopting it would re-pin them.
 Workload run_pipeline(const std::vector<DayLog>& days,
                       const PipelineConfig& cfg);
 

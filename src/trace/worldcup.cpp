@@ -11,6 +11,7 @@
 namespace agtram::trace {
 
 using common::BoundedParetoSampler;
+using common::GuidedCdf;
 using common::LognormalSampler;
 using common::Rng;
 using common::ZipfSampler;
@@ -35,25 +36,29 @@ void validate(const WorldCupConfig& cfg) {
 /// a cumulative table.  Heavier clients issue proportionally more requests.
 class ClientSampler {
  public:
-  ClientSampler(const WorldCupConfig& cfg, Rng& rng) : cdf_(cfg.clients) {
-    BoundedParetoSampler activity(cfg.client_activity_alpha, 1.0, 1e4);
-    double acc = 0.0;
-    for (std::uint32_t c = 0; c < cfg.clients; ++c) {
-      acc += activity(rng);
-      cdf_[c] = acc;
-    }
-    for (double& v : cdf_) v /= acc;
-    cdf_.back() = 1.0;
-  }
+  ClientSampler(const WorldCupConfig& cfg, Rng& rng)
+      : cdf_(activity_cdf(cfg, rng)) {}
 
   ClientId operator()(Rng& rng) const {
-    const double u = rng.uniform();
-    const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-    return static_cast<ClientId>(it - cdf_.begin());
+    return static_cast<ClientId>(cdf_.find(rng.uniform()));
   }
 
  private:
-  std::vector<double> cdf_;
+  static std::vector<double> activity_cdf(const WorldCupConfig& cfg,
+                                          Rng& rng) {
+    BoundedParetoSampler activity(cfg.client_activity_alpha, 1.0, 1e4);
+    std::vector<double> cdf(cfg.clients);
+    double acc = 0.0;
+    for (std::uint32_t c = 0; c < cfg.clients; ++c) {
+      acc += activity(rng);
+      cdf[c] = acc;
+    }
+    for (double& v : cdf) v /= acc;
+    cdf.back() = 1.0;
+    return cdf;
+  }
+
+  GuidedCdf cdf_;
 };
 
 }  // namespace

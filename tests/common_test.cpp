@@ -2,6 +2,7 @@
 // table/CSV output, and the CLI parser.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <set>
@@ -130,6 +131,88 @@ TEST(ZipfSampler, EmpiricalMatchesPmf) {
 TEST(ZipfSampler, HigherExponentConcentratesMass) {
   ZipfSampler flat(100, 0.5), steep(100, 1.5);
   EXPECT_LT(flat.pmf(0), steep.pmf(0));
+}
+
+// GuidedCdf must return exactly std::lower_bound's index: the samplers'
+// draws, and so every generated trace, depend on it bit for bit.
+std::size_t lower_bound_index(const std::vector<double>& cdf, double u) {
+  return static_cast<std::size_t>(
+      std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+}
+
+std::vector<std::vector<double>> cdf_fixtures() {
+  std::vector<std::vector<double>> fixtures;
+  // Zipf-shaped: a heavy head, a long tail of tiny steps.
+  for (const double s : {0.8, 1.1, 1.6}) {
+    std::vector<double> cdf(3000);
+    double acc = 0.0;
+    for (std::size_t i = 0; i < cdf.size(); ++i) {
+      acc += 1.0 / std::pow(static_cast<double>(i + 1), s);
+      cdf[i] = acc;
+    }
+    for (double& v : cdf) v /= acc;
+    cdf.back() = 1.0;
+    fixtures.push_back(std::move(cdf));
+  }
+  // Heavy-tailed random weights, as the World-Cup client sampler builds.
+  Rng rng(77);
+  BoundedParetoSampler activity(1.2, 1.0, 1e4);
+  std::vector<double> pareto(937);
+  double acc = 0.0;
+  for (double& v : pareto) v = (acc += activity(rng));
+  for (double& v : pareto) v /= acc;
+  pareto.back() = 1.0;
+  fixtures.push_back(std::move(pareto));
+  // Ties and zero-mass entries (equal neighbours), and the one-entry table.
+  fixtures.push_back({0.0, 0.0, 0.25, 0.25, 0.25, 0.5, 1.0, 1.0});
+  fixtures.push_back({1.0});
+  return fixtures;
+}
+
+TEST(GuidedCdf, MatchesLowerBoundAtGuideBoundaries) {
+  for (const std::vector<double>& cdf : cdf_fixtures()) {
+    const GuidedCdf table(cdf);
+    ASSERT_EQ(table.size(), cdf.size());
+    const double n = static_cast<double>(cdf.size());
+    for (std::size_t g = 0; g <= cdf.size(); ++g) {
+      const double edge = static_cast<double>(g) / n;
+      for (const double u : {std::nextafter(edge, 0.0), edge,
+                             std::nextafter(edge, 2.0)}) {
+        if (u < 0.0 || u >= 1.0) continue;
+        ASSERT_EQ(table.find(u), lower_bound_index(cdf, u))
+            << "n=" << cdf.size() << " u=" << u;
+      }
+    }
+  }
+}
+
+TEST(GuidedCdf, MatchesLowerBoundAtEntriesAndExtremes) {
+  const double top = 1.0 - 0x1.0p-53;  // largest Rng::uniform() value
+  for (const std::vector<double>& cdf : cdf_fixtures()) {
+    const GuidedCdf table(cdf);
+    EXPECT_EQ(table.find(0.0), lower_bound_index(cdf, 0.0));
+    EXPECT_EQ(table.find(top), lower_bound_index(cdf, top));
+    for (const double v : cdf) {
+      for (const double u :
+           {std::nextafter(v, 0.0), v, std::nextafter(v, 2.0)}) {
+        if (u < 0.0 || u >= 1.0) continue;
+        ASSERT_EQ(table.find(u), lower_bound_index(cdf, u)) << "u=" << u;
+      }
+    }
+  }
+}
+
+TEST(GuidedCdf, MatchesLowerBoundOnAMillionDraws) {
+  const std::vector<std::vector<double>> fixtures = cdf_fixtures();
+  std::vector<GuidedCdf> tables;
+  for (const auto& cdf : fixtures) tables.emplace_back(cdf);
+  Rng rng(2026);
+  for (int i = 0; i < 1000000; ++i) {
+    const double u = rng.uniform();
+    const std::size_t f = static_cast<std::size_t>(i) % fixtures.size();
+    ASSERT_EQ(tables[f].find(u), lower_bound_index(fixtures[f], u))
+        << "draw " << i << " u=" << u;
+  }
 }
 
 TEST(LognormalSampler, MedianIsExpMu) {

@@ -2,9 +2,15 @@
 // serialisation, and the log-processing pipeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <set>
 #include <sstream>
+#include <unordered_map>
 #include <unordered_set>
+
+#include "common/prng.hpp"
 
 #include "trace/access_log.hpp"
 #include "trace/pipeline.hpp"
@@ -153,6 +159,45 @@ TEST(WorldCup, ZeroFluxKeepsTheLawStable) {
   }
 }
 
+// FNV-1a over every field of every request, in order.
+std::uint64_t trace_digest(const std::vector<DayLog>& days) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto add = [&](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  add(days.size());
+  for (const DayLog& day : days) {
+    add(day.day_index);
+    add(day.requests.size());
+    for (const Request& r : day.requests) {
+      add(r.client);
+      add(r.object);
+      add(r.units);
+    }
+  }
+  return h;
+}
+
+// Pinned from the binary-search samplers the guided ones replaced: the
+// generator's output, RNG draw order included, must not move.
+TEST(WorldCup, OutputDigestIsPinned) {
+  EXPECT_EQ(trace_digest(generate_worldcup_trace(tiny_config())),
+            0x3fd322d8af38a074ULL);
+  WorldCupConfig flux;
+  flux.days = 4;
+  flux.object_universe = 600;
+  flux.core_objects = 150;
+  flux.clients = 70;
+  flux.requests_per_day = 20000;
+  flux.daily_flux = 0.25;
+  flux.seed = 2024;
+  EXPECT_EQ(trace_digest(generate_worldcup_trace(flux)),
+            0xb733736ac7b183d4ULL);
+}
+
 // ------------------------------------------------------- serialisation
 
 TEST(AccessLog, RoundTrip) {
@@ -177,6 +222,66 @@ TEST(AccessLog, MalformedLineThrows) {
 TEST(AccessLog, MixedDaysThrow) {
   std::stringstream ss("1 1 1 1\n2 1 1 1\n");
   EXPECT_THROW(read_day_log(ss), std::runtime_error);
+}
+
+// The message of read_day_log's error for `text`, or "" if it parsed.
+std::string parse_error(const std::string& text) {
+  std::stringstream ss(text);
+  try {
+    read_day_log(ss);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(AccessLog, RejectsNegativeField) {
+  // "-1" must not wrap to client 4294967295.
+  EXPECT_NE(parse_error("0 1 5 3\n0 -1 5 3\n").find("line 2"),
+            std::string::npos);
+  EXPECT_NE(parse_error("-0 1 5 3\n"), "");
+}
+
+TEST(AccessLog, RejectsPlusSign) {
+  EXPECT_NE(parse_error("0 +1 5 3\n").find("line 1"), std::string::npos);
+}
+
+TEST(AccessLog, RejectsTrailingToken) {
+  EXPECT_NE(parse_error("0 1 5 3\n\n0 1 5 3 junk\n").find("line 3"),
+            std::string::npos);
+  EXPECT_NE(parse_error("0 1 5 3 4\n"), "");
+}
+
+TEST(AccessLog, RejectsFractionalUnits) {
+  EXPECT_NE(parse_error("0 1 5 3.7\n").find("line 1"), std::string::npos);
+  EXPECT_NE(parse_error("0 1 5 3e2\n"), "");
+}
+
+TEST(AccessLog, RejectsOverflow) {
+  EXPECT_EQ(parse_error("0 4294967295 5 3\n"), "");
+  EXPECT_NE(parse_error("0 4294967296 5 3\n").find("line 1"),
+            std::string::npos);
+  EXPECT_NE(parse_error("0 1 99999999999999999999 3\n"), "");
+}
+
+TEST(AccessLog, RejectsMissingField) {
+  EXPECT_NE(parse_error("0 1 5\n").find("line 1"), std::string::npos);
+  EXPECT_NE(parse_error("   \n"), "");
+}
+
+TEST(AccessLog, AcceptsSurroundingWhitespace) {
+  std::stringstream ss("  7\t4294967295  0 12 \r\n7 1 2 3\n");
+  const DayLog log = read_day_log(ss);
+  EXPECT_EQ(log.day_index, 7u);
+  ASSERT_EQ(log.requests.size(), 2u);
+  EXPECT_EQ(log.requests[0].client, 4294967295u);
+  EXPECT_EQ(log.requests[0].object, 0u);
+  EXPECT_EQ(log.requests[0].units, 12u);
+}
+
+TEST(AccessLog, MixedDaysNameTheLine) {
+  EXPECT_NE(parse_error("1 1 1 1\n1 2 2 2\n2 1 1 1\n").find("line 3"),
+            std::string::npos);
 }
 
 // ------------------------------------------------------------ pipeline
@@ -305,6 +410,289 @@ TEST(Pipeline, EndToEndWithGeneratedTrace) {
     EXPECT_GE(wl.object_units[k], 1u);
     for (const auto& row : wl.reads[k]) EXPECT_LT(row.server, 12u);
   }
+}
+
+
+// ------------------------------------------------- legacy pipeline oracle
+
+// The node-hashing pipeline run_pipeline replaced, kept verbatim as a
+// differential oracle: the flat pipeline must reproduce it byte for byte,
+// remainder coins included.
+
+std::vector<ObjectId> legacy_objects_in_all_days(
+    const std::vector<DayLog>& days) {
+  if (days.empty()) return {};
+  std::unordered_map<ObjectId, std::uint32_t> day_presence;
+  for (const DayLog& day : days) {
+    std::unordered_set<ObjectId> seen_today;
+    for (const Request& r : day.requests) seen_today.insert(r.object);
+    for (ObjectId o : seen_today) ++day_presence[o];
+  }
+  std::vector<ObjectId> result;
+  for (const auto& [object, count] : day_presence) {
+    if (count == days.size()) result.push_back(object);
+  }
+  std::sort(result.begin(), result.end());
+  return result;
+}
+
+std::vector<ClientId> legacy_top_clients(const std::vector<DayLog>& days,
+                                         std::uint32_t k) {
+  std::unordered_map<ClientId, std::uint64_t> totals;
+  for (const DayLog& day : days) {
+    for (const Request& r : day.requests) ++totals[r.client];
+  }
+  std::vector<std::pair<ClientId, std::uint64_t>> ranked(totals.begin(),
+                                                         totals.end());
+  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
+    if (a.second != b.second) return a.second > b.second;
+    return a.first < b.first;
+  });
+  if (ranked.size() > k) ranked.resize(k);
+  std::vector<ClientId> result;
+  result.reserve(ranked.size());
+  for (const auto& [client, count] : ranked) result.push_back(client);
+  std::sort(result.begin(), result.end());
+  return result;
+}
+
+Workload legacy_run_pipeline(const std::vector<DayLog>& days,
+                             const PipelineConfig& cfg) {
+  using agtram::common::Rng;
+  Workload out;
+  if (days.empty()) return out;
+
+  // 1. Objects present in every day log, compacted to dense indices.
+  out.object_ids = legacy_objects_in_all_days(days);
+  std::unordered_map<ObjectId, std::uint32_t> object_index;
+  object_index.reserve(out.object_ids.size());
+  for (std::uint32_t k = 0; k < out.object_ids.size(); ++k) {
+    object_index.emplace(out.object_ids[k], k);
+  }
+
+  // 2. Top-K clients, compacted likewise.
+  const std::vector<ClientId> clients =
+      legacy_top_clients(days, cfg.top_clients);
+  std::unordered_map<ClientId, std::uint32_t> client_index;
+  client_index.reserve(clients.size());
+  for (std::uint32_t c = 0; c < clients.size(); ++c) {
+    client_index.emplace(clients[c], c);
+  }
+
+  // 3. Per-object delivered-size statistics (Welford) and per
+  //    (client, object) request counts over the surviving records.
+  const std::size_t n = out.object_ids.size();
+  std::vector<std::uint64_t> size_count(n, 0);
+  std::vector<double> size_mean(n, 0.0), size_m2(n, 0.0);
+  // Sparse (client, object) counts: flat key c * n + k.
+  std::unordered_map<std::uint64_t, std::uint64_t> demand;
+  for (const DayLog& day : days) {
+    for (const Request& r : day.requests) {
+      const auto oit = object_index.find(r.object);
+      if (oit == object_index.end()) continue;
+      const std::uint32_t k = oit->second;
+      ++size_count[k];
+      const double delta = static_cast<double>(r.units) - size_mean[k];
+      size_mean[k] += delta / static_cast<double>(size_count[k]);
+      size_m2[k] += delta * (static_cast<double>(r.units) - size_mean[k]);
+
+      const auto cit = client_index.find(r.client);
+      if (cit == client_index.end()) continue;
+      ++demand[static_cast<std::uint64_t>(cit->second) * n + k];
+      ++out.total_requests;
+    }
+  }
+
+  out.object_units.resize(n);
+  out.size_variance.resize(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    out.object_units[k] = static_cast<std::uint32_t>(
+        std::max(1.0, std::round(size_mean[k])));
+    out.size_variance[k] =
+        size_count[k] > 1
+            ? size_m2[k] / static_cast<double>(size_count[k] - 1)
+            : 0.0;
+  }
+
+  // 4. Client -> servers (1-to-many) mapping, then spread each client's
+  //    per-object demand across its servers as evenly as possible, with the
+  //    remainder assigned pseudo-randomly (deterministic in the seed).
+  const auto mapping = map_clients_to_servers(clients, cfg);
+  std::vector<std::unordered_map<std::uint32_t, std::uint64_t>> per_object(n);
+  Rng rng(cfg.seed ^ 0xabcdef1234567890ULL);
+  for (const auto& [key, count] : demand) {
+    const auto c = static_cast<std::uint32_t>(key / n);
+    const auto k = static_cast<std::uint32_t>(key % n);
+    const auto& servers = mapping[c];
+    const std::uint64_t base = count / servers.size();
+    std::uint64_t remainder = count % servers.size();
+    for (std::uint32_t s : servers) {
+      std::uint64_t share = base;
+      if (remainder > 0 && rng.chance(0.5)) {
+        ++share;
+        --remainder;
+      }
+      if (share > 0) per_object[k][s] += share;
+    }
+    // Any leftover goes to the client's first server.
+    if (remainder > 0) per_object[k][servers.front()] += remainder;
+  }
+
+  out.reads.resize(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    auto& rows = out.reads[k];
+    rows.reserve(per_object[k].size());
+    for (const auto& [server, reads] : per_object[k]) {
+      rows.push_back(ServerReads{server, reads});
+    }
+    std::sort(rows.begin(), rows.end(),
+              [](const ServerReads& a, const ServerReads& b) {
+                return a.server < b.server;
+              });
+  }
+  return out;
+}
+
+void expect_identical(const Workload& got, const Workload& want) {
+  EXPECT_EQ(got.object_ids, want.object_ids);
+  EXPECT_EQ(got.object_units, want.object_units);
+  ASSERT_EQ(got.size_variance.size(), want.size_variance.size());
+  for (std::size_t k = 0; k < got.size_variance.size(); ++k) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.size_variance[k]),
+              std::bit_cast<std::uint64_t>(want.size_variance[k]))
+        << "object " << k;
+  }
+  ASSERT_EQ(got.reads.size(), want.reads.size());
+  for (std::size_t k = 0; k < got.reads.size(); ++k) {
+    ASSERT_EQ(got.reads[k].size(), want.reads[k].size()) << "object " << k;
+    for (std::size_t r = 0; r < got.reads[k].size(); ++r) {
+      EXPECT_EQ(got.reads[k][r].server, want.reads[k][r].server);
+      EXPECT_EQ(got.reads[k][r].reads, want.reads[k][r].reads);
+    }
+  }
+  EXPECT_EQ(got.total_requests, want.total_requests);
+}
+
+void expect_matches_legacy(const std::vector<DayLog>& days,
+                           const PipelineConfig& cfg) {
+  EXPECT_EQ(objects_in_all_days(days), legacy_objects_in_all_days(days));
+  EXPECT_EQ(top_clients(days, cfg.top_clients),
+            legacy_top_clients(days, cfg.top_clients));
+  expect_identical(run_pipeline(days, cfg), legacy_run_pipeline(days, cfg));
+}
+
+WorldCupConfig oracle_trace_config() {
+  WorldCupConfig cfg;
+  cfg.days = 4;
+  cfg.object_universe = 400;
+  cfg.core_objects = 150;
+  cfg.clients = 60;
+  cfg.requests_per_day = 12000;
+  cfg.seed = 31;
+  return cfg;
+}
+
+PipelineConfig oracle_pipeline_config() {
+  PipelineConfig cfg;
+  cfg.servers = 40;
+  cfg.top_clients = 25;
+  cfg.min_fanout = 1;
+  cfg.max_fanout = 4;
+  cfg.seed = 17;
+  return cfg;
+}
+
+TEST(PipelineOracle, FanoutOneToFour) {
+  const auto days = generate_worldcup_trace(oracle_trace_config());
+  for (std::uint32_t lo = 1; lo <= 4; ++lo) {
+    for (std::uint32_t hi = lo; hi <= 4; ++hi) {
+      PipelineConfig cfg = oracle_pipeline_config();
+      cfg.min_fanout = lo;
+      cfg.max_fanout = hi;
+      SCOPED_TRACE("fanout " + std::to_string(lo) + ".." + std::to_string(hi));
+      expect_matches_legacy(days, cfg);
+    }
+  }
+}
+
+TEST(PipelineOracle, TopClientsBelowAndAboveClientCount) {
+  const auto days = generate_worldcup_trace(oracle_trace_config());
+  for (const std::uint32_t top : {0u, 1u, 25u, 59u, 60u, 61u, 500u}) {
+    PipelineConfig cfg = oracle_pipeline_config();
+    cfg.top_clients = top;
+    SCOPED_TRACE("top_clients " + std::to_string(top));
+    expect_matches_legacy(days, cfg);
+  }
+}
+
+TEST(PipelineOracle, SparseThirtyTwoBitIds) {
+  // IP-like client ids and object ids crowding the top of the u32 range
+  // (both extremes included), remapped injectively from a generated trace.
+  auto days = generate_worldcup_trace(oracle_trace_config());
+  for (DayLog& day : days) {
+    for (Request& r : day.requests) {
+      r.client = r.client == 0 ? 0xffffffffu
+                               : 0xc0a80000u + r.client * 0x01000193u;
+      r.object = r.object == 1 ? 0u : 0xffffffffu - r.object * 3u;
+    }
+  }
+  for (const std::uint32_t top : {10u, 1000u}) {
+    PipelineConfig cfg = oracle_pipeline_config();
+    cfg.top_clients = top;
+    SCOPED_TRACE("top_clients " + std::to_string(top));
+    expect_matches_legacy(days, cfg);
+  }
+}
+
+TEST(PipelineOracle, DailyFlux) {
+  WorldCupConfig trace = oracle_trace_config();
+  trace.daily_flux = 0.4;
+  trace.core_objects = 40;
+  const auto days = generate_worldcup_trace(trace);
+  expect_matches_legacy(days, oracle_pipeline_config());
+}
+
+TEST(PipelineOracle, DayMissingACoreObject) {
+  auto days = generate_worldcup_trace(oracle_trace_config());
+  auto& reqs = days[2].requests;
+  reqs.erase(std::remove_if(reqs.begin(), reqs.end(),
+                            [](const Request& r) { return r.object == 3; }),
+             reqs.end());
+  expect_matches_legacy(days, oracle_pipeline_config());
+  const std::vector<ObjectId> kept = objects_in_all_days(days);
+  EXPECT_EQ(std::count(kept.begin(), kept.end(), 3u), 0);
+  EXPECT_EQ(std::count(kept.begin(), kept.end(), 2u), 1);
+}
+
+TEST(PipelineOracle, SingleDay) {
+  WorldCupConfig trace = oracle_trace_config();
+  trace.days = 1;
+  const auto days = generate_worldcup_trace(trace);
+  expect_matches_legacy(days, oracle_pipeline_config());
+}
+
+TEST(PipelineOracle, EmptyDayVector) {
+  expect_matches_legacy({}, oracle_pipeline_config());
+  // An empty day log inside the vector leaves no object in every day.
+  auto days = generate_worldcup_trace(oracle_trace_config());
+  days.push_back(DayLog{9, {}});
+  expect_matches_legacy(days, oracle_pipeline_config());
+}
+
+TEST(PipelineOracle, ManyPairsAcrossRehashes) {
+  // Enough distinct (client, object) pairs to push the oracle's demand map
+  // through many rehashes, with heavy remainders (fanout 4, few requests).
+  WorldCupConfig trace = oracle_trace_config();
+  trace.object_universe = 3000;
+  trace.core_objects = 2000;
+  trace.clients = 300;
+  trace.requests_per_day = 40000;
+  trace.popularity_exponent = 0.7;
+  const auto days = generate_worldcup_trace(trace);
+  PipelineConfig cfg = oracle_pipeline_config();
+  cfg.servers = 500;
+  cfg.top_clients = 250;
+  expect_matches_legacy(days, cfg);
 }
 
 }  // namespace

@@ -26,12 +26,14 @@ cmake -B "$BUILD" -S "$SRC" \
 cmake --build "$BUILD" -j "$(nproc)" \
   --target test_common test_mechanism test_runtime test_baselines_delta \
            test_kernels test_online test_obs test_obs_noop test_regional \
-           test_serving test_strategic test_glauber test_tree_placement
+           test_serving test_strategic test_glauber test_tree_placement \
+           test_trace test_characterize
 
 status=0
 for t in test_common test_mechanism test_runtime test_baselines_delta \
          test_kernels test_online test_obs test_obs_noop test_regional \
-         test_serving test_strategic test_glauber test_tree_placement; do
+         test_serving test_strategic test_glauber test_tree_placement \
+         test_trace test_characterize; do
   echo "== $SAN-sanitized $t =="
   # The paper-scale differential cases take minutes under a sanitizer's
   # slowdown; the small-family + fuzz cases exercise the same parallel scans.
