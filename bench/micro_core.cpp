@@ -290,8 +290,8 @@ struct TrajectoryOptions {
   /// LocalSearch, SA at the base scale; Greedy + GRA at paper scale).
   bool baselines = true;
   int baseline_reps = 2;
-  /// Kernel-engine family: the DESIGN.md §10 kernels timed aos / scalar /
-  /// simd at both scales, with a bitwise cross-variant identity check.
+  /// Kernel-engine family: the DESIGN.md §10 kernels timed aos / scalar at
+  /// both scales, with a bitwise cross-variant identity check.
   bool kernels = true;
   /// Regional family: the shared-placement engines (regional / cooperative
   /// / hierarchical) serial-vs-sharded at the mech and paper scales, plus
@@ -779,23 +779,20 @@ bool run_baseline_family(bench::JsonWriter& json, const drp::Problem& p,
 // ---------------------------------------------------------------------------
 // Kernel-engine family (--kernels=0 skips).
 //
-// The kernel shapes of DESIGN.md §10 timed three ways over one seeded
+// The kernel shapes of DESIGN.md §10 timed two ways over one seeded
 // placement per scale:
 //
 //   aos    — the pre-change AoS loops (per-slot is_replicator probes,
 //            per-use static_casts, the two-pointer w_ik merge), transcribed
 //            verbatim below; the capture the issue's >= 1.5x acceptance
 //            speedup is measured against,
-//   scalar — the shipped kernel entry points with the vector paths forced
-//            off (kernels::set_simd_enabled(false)): SoA streams + member
-//            masks, portable loops,
-//   simd   — the same entry points with the vector paths on; rows emitted
-//            only when the binary carries the AVX2 TU and the CPU runs it.
+//   scalar — the shipped kernel entry points: SoA streams + member masks,
+//            portable loops.
 //
 // Each row reports best-of wall seconds plus ns per processed item
 // (accessor slots for the sweeps, rep entries for the min-reduce, benefit
 // cells for the candidate scan) under the shared ns_per_accessor field.
-// The family asserts — nonzero exit — that every variant lands on
+// The family asserts — nonzero exit — that both variants land on
 // bit-identical checksums: the FP contract, enforced at the exact
 // workloads where the speedup is claimed.
 
@@ -814,8 +811,8 @@ bool bits_equal(double a, double b) {
 /// then a strided probe over all servers — most reader slots stay active,
 /// keeping the read-savings loops the scan kernels exist for on the hot
 /// path.  Round-robin across objects so the capacity budget spreads instead
-/// of draining on the first objects; depth 24 pushes typical rep lists past
-/// the SIMD min-reduce cutoff wherever capacity allows.
+/// of draining on the first objects; depth 24 gives the min-reduce long
+/// rep lists wherever capacity allows.
 drp::ReplicaPlacement seeded_placement(const drp::Problem& p) {
   constexpr std::uint32_t kDepth = 24;
   const auto m = static_cast<std::uint32_t>(p.server_count());
@@ -1059,27 +1056,15 @@ bool run_kernel_family(bench::JsonWriter& json, const drp::Problem& p,
   };
 
   struct VariantRun {
-    bool ran = false;
-    double seconds = 0.0;
+    double seconds = 1e30;
     KernelWork work;
   };
-  static constexpr const char* kVariantName[3] = {"aos", "scalar", "simd"};
+  static constexpr const char* kVariantName[2] = {"aos", "scalar"};
 
   const auto measure = [&](const char* row_name, auto&& work_fn) {
-    VariantRun runs[3];
-    for (int v = 0; v < 3; ++v) {
-      if (v == 1) drp::kernels::set_simd_enabled(false);
-      if (v == 2) {
-        drp::kernels::set_simd_enabled(true);
-        if (!drp::kernels::simd_active()) {
-          std::printf("  %-21s simd  : unavailable in this build/CPU\n",
-                      row_name);
-          continue;
-        }
-      }
+    VariantRun runs[2];
+    for (int v = 0; v < 2; ++v) {
       VariantRun& run = runs[v];
-      run.ran = true;
-      run.seconds = 1e30;
       for (int rep = 0; rep < reps; ++rep) {
         common::Timer timer;
         const KernelWork work = work_fn(v == 0);
@@ -1106,23 +1091,18 @@ bool run_kernel_family(bench::JsonWriter& json, const drp::Problem& p,
       std::printf("  %-21s %-6s: %.4fs, %.3f ns/item\n", row_name,
                   kVariantName[v], run.seconds, ns);
     }
-    drp::kernels::set_simd_enabled(true);
 
-    // FP contract, enforced on the timed workload itself: scalar and simd
-    // must land bit for bit on the aos capture's checksums.
-    bool identical = true;
-    for (int v = 1; v < 3; ++v) {
-      if (!runs[v].ran) continue;
-      if (!bits_equal(runs[v].work.checksum, runs[0].work.checksum) ||
-          !bits_equal(runs[v].work.checksum2, runs[0].work.checksum2) ||
-          runs[v].work.items != runs[0].work.items) {
-        identical = false;
-        std::fprintf(stderr,
-                     "FAIL: %s %s diverged from aos: %a/%a vs %a/%a\n",
-                     row_name, kVariantName[v], runs[v].work.checksum,
-                     runs[v].work.checksum2, runs[0].work.checksum,
-                     runs[0].work.checksum2);
-      }
+    // FP contract, enforced on the timed workload itself: the shipped
+    // kernels must land bit for bit on the aos capture's checksums.
+    const bool identical =
+        bits_equal(runs[1].work.checksum, runs[0].work.checksum) &&
+        bits_equal(runs[1].work.checksum2, runs[0].work.checksum2) &&
+        runs[1].work.items == runs[0].work.items;
+    if (!identical) {
+      std::fprintf(stderr,
+                   "FAIL: %s scalar diverged from aos: %a/%a vs %a/%a\n",
+                   row_name, runs[1].work.checksum, runs[1].work.checksum2,
+                   runs[0].work.checksum, runs[0].work.checksum2);
     }
     bench::JsonWriter::Record identity;
     identity.field("benchmark", "kernel_identity_check")
@@ -1133,6 +1113,8 @@ bool run_kernel_family(bench::JsonWriter& json, const drp::Problem& p,
         .field("ok", identical);
     json.add(std::move(identity));
 
+    const double scalar_vs_aos =
+        runs[1].seconds > 0.0 ? runs[0].seconds / runs[1].seconds : 0.0;
     bench::JsonWriter::Record speedup;
     speedup.field("benchmark", "kernel_speedup")
         .field("kernel", row_name)
@@ -1140,25 +1122,11 @@ bool run_kernel_family(bench::JsonWriter& json, const drp::Problem& p,
         .field("objects", static_cast<std::uint64_t>(objects))
         .field("demand", demand)
         .field("aos_seconds", runs[0].seconds)
-        .field("scalar_seconds", runs[1].seconds);
-    const double scalar_vs_aos =
-        runs[1].seconds > 0.0 ? runs[0].seconds / runs[1].seconds : 0.0;
-    speedup.field("scalar_vs_aos", scalar_vs_aos);
-    if (runs[2].ran) {
-      const double simd_vs_aos =
-          runs[2].seconds > 0.0 ? runs[0].seconds / runs[2].seconds : 0.0;
-      const double simd_vs_scalar =
-          runs[2].seconds > 0.0 ? runs[1].seconds / runs[2].seconds : 0.0;
-      speedup.field("simd_seconds", runs[2].seconds)
-          .field("simd_vs_aos", simd_vs_aos)
-          .field("simd_vs_scalar", simd_vs_scalar);
-      std::printf("  %-21s speedup: %.2fx scalar, %.2fx simd vs aos\n",
-                  row_name, scalar_vs_aos, simd_vs_aos);
-    } else {
-      std::printf("  %-21s speedup: %.2fx scalar vs aos (no simd)\n",
-                  row_name, scalar_vs_aos);
-    }
+        .field("scalar_seconds", runs[1].seconds)
+        .field("scalar_vs_aos", scalar_vs_aos);
     json.add(std::move(speedup));
+    std::printf("  %-21s speedup: %.2fx scalar vs aos\n", row_name,
+                scalar_vs_aos);
     return identical;
   };
 

@@ -1,10 +1,14 @@
 #include "drp/placement_io.hpp"
 
+#include <cstdint>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <vector>
+
+#include "common/parse.hpp"
 
 namespace agtram::drp {
 
@@ -26,6 +30,7 @@ void write_placement(std::ostream& os, const ReplicaPlacement& placement) {
 ReplicaPlacement read_placement(std::istream& is, const Problem& problem) {
   ReplicaPlacement placement(problem);
   std::string line;
+  std::vector<std::uint64_t> servers;
   std::size_t line_number = 0;
   while (std::getline(is, line)) {
     ++line_number;
@@ -33,32 +38,34 @@ ReplicaPlacement read_placement(std::istream& is, const Problem& problem) {
       throw std::runtime_error("placement line " + std::to_string(line_number) +
                                ": " + what);
     };
-    // Strip comments and whitespace-only lines.
+    // Strip comments and blank lines.
     const auto hash = line.find('#');
     if (hash != std::string::npos) line.resize(hash);
-    if (line.find_first_not_of(" \t") == std::string::npos) continue;
+    const char* first = line.data();
+    if (common::skip_blanks(first, line.data() + line.size())) continue;
 
     const auto colon = line.find(':');
     if (colon == std::string::npos) fail("missing ':'");
-    std::size_t object = 0;
-    try {
-      object = std::stoul(line.substr(0, colon));
-    } catch (const std::exception&) {
+    const std::string_view text(line);
+    std::uint64_t object = 0;
+    if (!common::parse_fields<std::uint64_t>(text.substr(0, colon),
+                                             {&object, 1})) {
       fail("bad object index");
     }
     if (object >= problem.object_count()) fail("object index out of range");
 
-    std::istringstream servers(line.substr(colon + 1));
-    std::uint64_t server = 0;
-    while (servers >> server) {
+    servers.clear();
+    if (!common::parse_field_list(text.substr(colon + 1), servers)) {
+      fail("bad server id");
+    }
+    const auto k = static_cast<ObjectIndex>(object);
+    for (const std::uint64_t server : servers) {
       if (server >= problem.server_count()) fail("server id out of range");
       const auto i = static_cast<ServerId>(server);
-      const auto k = static_cast<ObjectIndex>(object);
       if (placement.is_replicator(i, k)) fail("duplicate replica");
       if (!placement.can_replicate(i, k)) fail("capacity violated");
       placement.add_replica(i, k);
     }
-    if (!servers.eof()) fail("bad server id");
   }
   return placement;
 }

@@ -5,9 +5,11 @@
 #include <limits>
 #include <optional>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+
+#include "common/parse.hpp"
 
 namespace agtram::net {
 
@@ -23,6 +25,7 @@ void write_graph(std::ostream& os, const Graph& graph) {
 }
 
 Graph read_graph(std::istream& is) {
+  constexpr std::string_view kHeader = "nodes";
   std::optional<Graph> graph;
   std::string line;
   std::size_t line_number = 0;
@@ -34,20 +37,30 @@ Graph read_graph(std::istream& is) {
     };
     const auto hash = line.find('#');
     if (hash != std::string::npos) line.resize(hash);
-    if (line.find_first_not_of(" \t") == std::string::npos) continue;
+    const char* first = line.data();
+    if (common::skip_blanks(first, line.data() + line.size())) continue;
 
-    std::istringstream fields(line);
     if (!graph) {
-      std::string keyword;
-      std::size_t nodes = 0;
-      if (!(fields >> keyword >> nodes) || keyword != "nodes" || nodes == 0) {
+      const std::string_view rest(first, line.data() + line.size() - first);
+      std::uint64_t nodes = 0;
+      if (!rest.starts_with(kHeader) || rest.size() == kHeader.size() ||
+          !common::is_blank(rest[kHeader.size()]) ||
+          !common::parse_fields<std::uint64_t>(rest.substr(kHeader.size()),
+                                               {&nodes, 1}) ||
+          nodes == 0) {
         fail("expected 'nodes <M>' header");
+      }
+      if (nodes > std::numeric_limits<NodeId>::max()) {
+        fail("node count exceeds the NodeId range");
       }
       graph.emplace(nodes);
       continue;
     }
-    std::uint64_t a = 0, b = 0, cost = 0;
-    if (!(fields >> a >> b >> cost)) fail("expected '<a> <b> <cost>'");
+    std::uint64_t edge[3];  // a, b, cost
+    if (!common::parse_fields<std::uint64_t>(line, edge)) {
+      fail("expected '<a> <b> <cost>'");
+    }
+    const auto [a, b, cost] = edge;
     if (a >= graph->node_count() || b >= graph->node_count()) {
       fail("endpoint out of range");
     }

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include <sstream>
+#include <string>
 
 #include "drp/access_matrix.hpp"
 #include "drp/builder.hpp"
@@ -356,17 +357,35 @@ TEST(PlacementIo, CommentsAndBlankLinesIgnored) {
 
 TEST(PlacementIo, MalformedInputsThrow) {
   const Problem p = testutil::line3_problem();
-  const auto expect_throw = [&p](const std::string& text) {
+  // Each case must throw std::runtime_error naming `line`.
+  const auto expect_throw = [&p](const std::string& text, std::size_t line) {
     std::stringstream ss(text);
-    EXPECT_THROW(read_placement(ss, p), std::runtime_error) << text;
+    try {
+      read_placement(ss, p);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(
+          std::string(e.what()).find("line " + std::to_string(line) + ":"),
+          std::string::npos)
+          << text << " -> " << e.what();
+    }
   };
-  expect_throw("0 1\n");        // missing colon
-  expect_throw("xyz: 1\n");     // bad object index
-  expect_throw("9: 1\n");       // object out of range
-  expect_throw("0: 99\n");      // server out of range
-  expect_throw("0: junk\n");    // bad server token
-  expect_throw("0: 1 1\n");     // duplicate replica
-  expect_throw("0: 0\n");       // primary listed as extra replica
+  expect_throw("0 1\n", 1);        // missing colon
+  expect_throw("xyz: 1\n", 1);     // bad object index
+  expect_throw("9: 1\n", 1);       // object out of range
+  expect_throw("0: 99\n", 1);      // server out of range
+  expect_throw("0: junk\n", 1);    // bad server token
+  expect_throw("0: 1 1\n", 1);     // duplicate replica
+  expect_throw("0: 0\n", 1);       // primary listed as extra replica
+  expect_throw("0x: 1\n", 1);      // hex-prefixed object index
+  expect_throw("+0: 1\n", 1);      // signed object index
+  expect_throw("-0: 1\n", 1);      // negative object index
+  expect_throw("0 1: 2\n", 1);     // two object indices
+  expect_throw("0: 1.5\n", 1);     // fractional server id
+  expect_throw("0: +1\n", 1);      // signed server id
+  expect_throw("0: 1x\n", 1);      // trailing junk on a server id
+  expect_throw("0: 99999999999999999999\n", 1);  // overflow
+  expect_throw("# c\n\n0: 1\n1: 2 z\n", 4);      // later line named
 }
 
 TEST(PlacementIo, CapacityViolationRejected) {

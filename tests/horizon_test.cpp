@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "net/graph_io.hpp"
 #include "net/topology.hpp"
@@ -104,16 +106,38 @@ TEST(GraphIo, RoundTripPreservesTopology) {
 }
 
 TEST(GraphIo, MalformedInputsThrow) {
-  const auto expect_throw = [](const std::string& text) {
+  // Each case must throw std::runtime_error naming `line` (0: no line to
+  // name, the input ended before a header).
+  const auto expect_throw = [](const std::string& text, std::size_t line) {
     std::stringstream ss(text);
-    EXPECT_THROW(net::read_graph(ss), std::runtime_error) << text;
+    try {
+      net::read_graph(ss);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::runtime_error& e) {
+      if (line > 0) {
+        EXPECT_NE(std::string(e.what()).find("line " + std::to_string(line) +
+                                             ":"),
+                  std::string::npos)
+            << text << " -> " << e.what();
+      }
+    }
   };
-  expect_throw("");                      // missing header
-  expect_throw("vertices 3\n");          // wrong keyword
-  expect_throw("nodes 0\n");             // empty graph
-  expect_throw("nodes 3\n0 9 1\n");      // endpoint out of range
-  expect_throw("nodes 3\n0 1 0\n");      // zero cost
-  expect_throw("nodes 3\n0 1\n");        // missing cost
+  expect_throw("", 0);                       // missing header
+  expect_throw("vertices 3\n", 1);           // wrong keyword
+  expect_throw("nodes 0\n", 1);              // empty graph
+  expect_throw("nodes 3\n0 9 1\n", 2);       // endpoint out of range
+  expect_throw("nodes 3\n0 1 0\n", 2);       // zero cost
+  expect_throw("nodes 3\n0 1\n", 2);         // missing cost
+  expect_throw("nodes 3\n0 1 5 junk\n", 2);  // trailing token
+  expect_throw("nodes 3\n0 1 5.7\n", 2);     // fractional cost
+  expect_throw("nodes 3\n0 1 +5\n", 2);      // signed cost
+  expect_throw("nodes 3\n0 -1 5\n", 2);      // negative endpoint
+  expect_throw("nodes 3\n0 1 99999999999999999999\n", 2);  // overflow
+  expect_throw("nodes 3 9\n", 1);            // trailing header token
+  expect_throw("nodes -1\n", 1);             // negative node count
+  expect_throw("nodes 4294967296\n", 1);     // above the NodeId range
+  expect_throw("nodes3\n", 1);               // keyword run into the count
+  expect_throw("# c\n\nnodes 3\n0 1 0x5\n", 4);  // hex cost, line counted
 }
 
 TEST(GraphIo, CommentsIgnored) {

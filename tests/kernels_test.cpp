@@ -1,17 +1,14 @@
-// Proof obligations for the SIMD/SoA kernel engine (DESIGN.md §10):
+// Proof obligations for the SoA kernel engine (DESIGN.md §10):
 //
 //  * reference parity — every kernel reproduces its scalar reference loop
 //    (the pre-kernel AoS code, transcribed verbatim below) bit for bit over
-//    randomized inputs covering empty rows, single-accessor objects, lane
-//    remainders, and sizes straddling every dispatch cutoff;
-//  * dispatch parity — the vector and portable arms agree bit for bit: each
-//    kernel runs under set_simd_enabled(true) and (false) and must produce
-//    identical bits (on non-AVX2 hosts both arms are the portable loop and
-//    the check is trivially green);
+//    randomized inputs covering empty rows, single-accessor objects, and a
+//    grid of row lengths;
 //  * engine parity — the rewired call sites (object cost, hypothetical
-//    add/drop/swap, candidate scan) produce identical bits with SIMD on and
-//    off on generated instances, including placements pushed through the
-//    inline -> spill-arena crossover at kInlineReplicators.
+//    add/drop/swap, candidate scan) agree bit for bit with the replica-set
+//    object cost and global benefit they stand in for on generated
+//    instances, including placements pushed through the inline ->
+//    spill-arena crossover at kInlineReplicators.
 //
 // Failures print hexfloats so a single-ULP drift is visible.
 #include <gtest/gtest.h>
@@ -45,12 +42,6 @@ std::string hex(double v) {
 #define EXPECT_BITEQ(a, b)                                                 \
   EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b)) \
       << hex(a) << " vs " << hex(b)
-
-/// Restores the dispatch toggle on scope exit.
-struct SimdGuard {
-  bool was = kernels::simd_active();
-  ~SimdGuard() { kernels::set_simd_enabled(was); }
-};
 
 /// One randomized flat "accessor row" plus the distance rows the kernels
 /// gather from.  Servers ascending (the CSR invariant); reads/writes are
@@ -91,8 +82,8 @@ struct RowFixture {
   }
 };
 
-// Sizes straddling the lane widths (4 and 8) and every dispatch cutoff
-// (8 slots, 16 reps/servers), plus empty and single-entry rows.
+// Row lengths from empty and single-entry rows through short odd/even
+// lengths up to a long row.
 constexpr std::size_t kSizes[] = {0, 1, 2,  3,  4,  5,  7,  8,
                                   9, 15, 16, 17, 31, 32, 63, 257};
 
@@ -131,7 +122,6 @@ double ref_read_savings(const RowFixture& f,
 }
 
 TEST(KernelReference, ObjectCostAccumulateMatchesScalarLoop) {
-  SimdGuard guard;
   std::mt19937_64 rng(7);
   for (const std::size_t n : kSizes) {
     RowFixture f = RowFixture::make(rng, n, 300);
@@ -139,19 +129,15 @@ TEST(KernelReference, ObjectCostAccumulateMatchesScalarLoop) {
     double w_total = 0.0;
     for (const double w : f.writes) w_total += w;
     const kernels::CostAccum want = ref_object_cost_accumulate(f, o, w_total);
-    for (const bool simd : {true, false}) {
-      kernels::set_simd_enabled(simd);
-      const kernels::CostAccum got = kernels::object_cost_accumulate(
-          f.servers, f.reads, f.writes, f.nn, f.primary_row, f.member.data(),
-          o, w_total);
-      EXPECT_BITEQ(got.cost, want.cost) << "n=" << n << " simd=" << simd;
-      EXPECT_BITEQ(got.saving, want.saving) << "n=" << n << " simd=" << simd;
-    }
+    const kernels::CostAccum got = kernels::object_cost_accumulate(
+        f.servers, f.reads, f.writes, f.nn, f.primary_row, f.member.data(),
+        o, w_total);
+    EXPECT_BITEQ(got.cost, want.cost) << "n=" << n;
+    EXPECT_BITEQ(got.saving, want.saving) << "n=" << n;
   }
 }
 
 TEST(KernelReference, ReadSavingsAccumulateMatchesScalarLoop) {
-  SimdGuard guard;
   std::mt19937_64 rng(8);
   std::uniform_int_distribution<net::Cost> dist(0, 5000);
   for (const std::size_t n : kSizes) {
@@ -160,17 +146,13 @@ TEST(KernelReference, ReadSavingsAccumulateMatchesScalarLoop) {
     for (auto& c : i_row) c = dist(rng);
     const double o = 5.0;
     const double want = ref_read_savings(f, i_row, o);
-    for (const bool simd : {true, false}) {
-      kernels::set_simd_enabled(simd);
-      const double got = kernels::read_savings_accumulate(
-          f.servers, f.reads, f.nn, i_row, f.member.data(), o);
-      EXPECT_BITEQ(got, want) << "n=" << n << " simd=" << simd;
-    }
+    const double got = kernels::read_savings_accumulate(
+        f.servers, f.reads, f.nn, i_row, f.member.data(), o);
+    EXPECT_BITEQ(got, want) << "n=" << n;
   }
 }
 
 TEST(KernelReference, NnMinFamilyMatchesScalarLoop) {
-  SimdGuard guard;
   std::mt19937_64 rng(9);
   std::uniform_int_distribution<net::Cost> dist(0, 1u << 30);
   const std::size_t m = 600;
@@ -188,17 +170,13 @@ TEST(KernelReference, NnMinFamilyMatchesScalarLoop) {
     for (const ServerId r : reps) {
       if (r != excluded) want_ex = std::min(want_ex, row[r]);
     }
-    for (const bool simd : {true, false}) {
-      kernels::set_simd_enabled(simd);
-      EXPECT_EQ(kernels::nn_min(row, reps), want) << "n=" << n;
-      EXPECT_EQ(kernels::nn_min_excluding(row, reps, excluded), want_ex)
-          << "n=" << n;
-    }
+    EXPECT_EQ(kernels::nn_min(row, reps), want) << "n=" << n;
+    EXPECT_EQ(kernels::nn_min_excluding(row, reps, excluded), want_ex)
+        << "n=" << n;
   }
 }
 
 TEST(KernelReference, MinWithRowMatchesScalarLoopAndAliases) {
-  SimdGuard guard;
   std::mt19937_64 rng(10);
   std::uniform_int_distribution<net::Cost> dist(0, 1u << 30);
   for (const std::size_t n : kSizes) {
@@ -209,20 +187,16 @@ TEST(KernelReference, MinWithRowMatchesScalarLoopAndAliases) {
     for (std::size_t s = 0; s < f.servers.size(); ++s) {
       want[s] = std::min(f.nn[s], row[f.servers[s]]);
     }
-    for (const bool simd : {true, false}) {
-      kernels::set_simd_enabled(simd);
-      std::vector<net::Cost> out(f.servers.size(), 0);
-      kernels::min_with_row(f.nn, f.servers, row, out.data());
-      EXPECT_EQ(out, want) << "n=" << n << " simd=" << simd;
-      std::vector<net::Cost> in_place = f.nn;  // out may alias the input
-      kernels::min_with_row(in_place, f.servers, row, in_place.data());
-      EXPECT_EQ(in_place, want) << "n=" << n << " simd=" << simd;
-    }
+    std::vector<net::Cost> out(f.servers.size(), 0);
+    kernels::min_with_row(f.nn, f.servers, row, out.data());
+    EXPECT_EQ(out, want) << "n=" << n;
+    std::vector<net::Cost> in_place = f.nn;  // out may alias the input
+    kernels::min_with_row(in_place, f.servers, row, in_place.data());
+    EXPECT_EQ(in_place, want) << "n=" << n;
   }
 }
 
 TEST(KernelReference, BestAddPassesMatchScalarLoops) {
-  SimdGuard guard;
   std::mt19937_64 rng(11);
   std::uniform_int_distribution<net::Cost> dist(0, 5000);
   const double o = 2.0;
@@ -248,40 +222,37 @@ TEST(KernelReference, BestAddPassesMatchScalarLoops) {
       want[i] -=
           (w_total - w_dense[i]) * o * static_cast<double>(primary_row[i]);
     }
-    for (const bool simd : {true, false}) {
-      kernels::set_simd_enabled(simd);
-      std::vector<double> got(m, 0.125);
-      kernels::best_add_read_pass(ro, current, a_row, 0, m, got.data());
-      kernels::broadcast_price_pass(w_total, o, w_dense, primary_row, 0, m,
-                                    got.data());
+    std::vector<double> got(m, 0.125);
+    kernels::best_add_read_pass(ro, current, a_row, 0, m, got.data());
+    kernels::broadcast_price_pass(w_total, o, w_dense, primary_row, 0, m,
+                                  got.data());
+    for (std::size_t i = 0; i < m; ++i) {
+      EXPECT_BITEQ(got[i], want[i]) << "m=" << m << " i=" << i;
+    }
+    // Partial [first, last) ranges leave everything else untouched.
+    if (m >= 8) {
+      std::vector<double> part(m, 0.0);
+      kernels::best_add_read_pass(ro, current, a_row, 3, m - 2,
+                                  part.data());
+      EXPECT_EQ(part[0], 0.0);
+      EXPECT_EQ(part[m - 1], 0.0);
+    }
+    // Sparse regimes: when few (or no) candidates beat `current`, most
+    // addends are +0.0 — results must still match the always-add
+    // reference loop bit for bit.
+    for (const net::Cost sparse_current : {net::Cost{0}, net::Cost{3}}) {
+      std::vector<double> sparse_want(m, 0.125);
       for (std::size_t i = 0; i < m; ++i) {
-        EXPECT_BITEQ(got[i], want[i]) << "m=" << m << " i=" << i;
+        const net::Cost with_i = std::min(sparse_current, a_row[i]);
+        sparse_want[i] += ro * (static_cast<double>(sparse_current) -
+                                static_cast<double>(with_i));
       }
-      // Partial [first, last) ranges leave everything else untouched.
-      if (m >= 8) {
-        std::vector<double> part(m, 0.0);
-        kernels::best_add_read_pass(ro, current, a_row, 3, m - 2,
-                                    part.data());
-        EXPECT_EQ(part[0], 0.0);
-        EXPECT_EQ(part[m - 1], 0.0);
-      }
-      // Skip-heavy regimes: when few (or no) candidates beat `current`,
-      // the vector path may skip whole all-+0.0 blocks — results must
-      // still match the always-add scalar loop bit for bit.
-      for (const net::Cost sparse_current : {net::Cost{0}, net::Cost{3}}) {
-        std::vector<double> sparse_want(m, 0.125);
-        for (std::size_t i = 0; i < m; ++i) {
-          const net::Cost with_i = std::min(sparse_current, a_row[i]);
-          sparse_want[i] += ro * (static_cast<double>(sparse_current) -
-                                  static_cast<double>(with_i));
-        }
-        std::vector<double> sparse_got(m, 0.125);
-        kernels::best_add_read_pass(ro, sparse_current, a_row, 0, m,
-                                    sparse_got.data());
-        for (std::size_t i = 0; i < m; ++i) {
-          EXPECT_BITEQ(sparse_got[i], sparse_want[i])
-              << "m=" << m << " i=" << i << " current=" << sparse_current;
-        }
+      std::vector<double> sparse_got(m, 0.125);
+      kernels::best_add_read_pass(ro, sparse_current, a_row, 0, m,
+                                  sparse_got.data());
+      for (std::size_t i = 0; i < m; ++i) {
+        EXPECT_BITEQ(sparse_got[i], sparse_want[i])
+            << "m=" << m << " i=" << i << " current=" << sparse_current;
       }
     }
   }
@@ -307,21 +278,7 @@ TEST(KernelReference, MemberMaskMatchesBinarySearch) {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatch state
-
-TEST(KernelDispatch, ToggleRoundTripsAndNeverEnablesUnsupported) {
-  SimdGuard guard;
-  kernels::set_simd_enabled(false);
-  EXPECT_FALSE(kernels::simd_active());
-  kernels::set_simd_enabled(true);
-  // Enabling is a no-op unless the vector TU is compiled in AND the CPU
-  // supports it.
-  EXPECT_EQ(kernels::simd_active(),
-            kernels::simd_compiled() && kernels::simd_supported());
-}
-
-// ---------------------------------------------------------------------------
-// Engine parity: the rewired call sites under SIMD on vs off.
+// Engine parity: the rewired call sites against the costs they stand in for.
 
 TEST(KernelEngineParity, SoaStreamsMirrorAosCells) {
   const drp::Problem p = testutil::small_instance(21, 48, 120);
@@ -339,8 +296,7 @@ TEST(KernelEngineParity, SoaStreamsMirrorAosCells) {
   }
 }
 
-TEST(KernelEngineParity, CostAndHypotheticalsBitIdenticalSimdOnOff) {
-  SimdGuard guard;
+TEST(KernelEngineParity, HypotheticalsMatchReplicaSetCosts) {
   const drp::Problem p = testutil::small_instance(33, 64, 150, 0.2);
   drp::DeltaEvaluator eval{drp::ReplicaPlacement(p)};
   std::mt19937_64 rng(34);
@@ -361,58 +317,61 @@ TEST(KernelEngineParity, CostAndHypotheticalsBitIdenticalSimdOnOff) {
   }
   EXPECT_TRUE(crossed) << "fixture never reached the spill-arena crossover";
 
+  // Replica-set cost of a sorted copy of `set`: the object cost a fresh
+  // evaluation after the real mutation would produce.
+  const auto set_cost = [&p](drp::ObjectIndex k, std::vector<ServerId> set) {
+    std::sort(set.begin(), set.end());
+    return drp::CostModel::object_cost_with_replicators(p, k, set);
+  };
   drp::DeltaEvaluator::ScanScratch scratch;
   for (drp::ObjectIndex k = 0; k < p.object_count(); ++k) {
-    const auto reps = eval.placement().replicators(k);
+    const auto span = eval.placement().replicators(k);
+    const std::vector<ServerId> reps(span.begin(), span.end());
     const ServerId add_cand = pick_server(rng);
     const ServerId drop_cand =
         reps.size() > 1 ? reps[1 + rng() % (reps.size() - 1)] : 0;
-    double on_cost = 0.0, on_add = 0.0, on_drop = 0.0, on_swap = 0.0;
-    double on_best = 0.0, on_global = 0.0;
-    ServerId on_server = 0;
-    for (const bool simd : {true, false}) {
-      kernels::set_simd_enabled(simd);
-      const double cost = drp::CostModel::object_cost(eval.placement(), k);
-      const double with_reps =
-          drp::CostModel::object_cost_with_replicators(p, k, reps);
-      const double add = eval.can_replicate(add_cand, k)
-                             ? eval.cost_if_added(add_cand, k)
-                             : 0.0;
-      const double global =
-          eval.can_replicate(add_cand, k)
-              ? drp::CostModel::global_benefit(eval.placement(), add_cand, k)
-              : 0.0;
-      const bool can_drop = drop_cand != 0 && drop_cand != p.primary[k];
-      const double drop = can_drop ? eval.cost_if_dropped(drop_cand, k) : 0.0;
-      const double swap =
-          can_drop && eval.placement().can_replicate(add_cand, k)
-              ? eval.cost_if_swapped(drop_cand, add_cand, k)
-              : 0.0;
-      const auto best = eval.best_add_for_object(k, nullptr, scratch, false);
-      EXPECT_BITEQ(with_reps, cost) << "k=" << k;
-      if (simd) {
-        on_cost = cost;
-        on_add = add;
-        on_drop = drop;
-        on_swap = swap;
-        on_global = global;
-        on_best = best.benefit;
-        on_server = best.server;
-      } else {
-        EXPECT_BITEQ(cost, on_cost) << "k=" << k;
-        EXPECT_BITEQ(add, on_add) << "k=" << k;
-        EXPECT_BITEQ(drop, on_drop) << "k=" << k;
-        EXPECT_BITEQ(swap, on_swap) << "k=" << k;
-        EXPECT_BITEQ(global, on_global) << "k=" << k;
-        EXPECT_BITEQ(best.benefit, on_best) << "k=" << k;
-        EXPECT_EQ(best.server, on_server) << "k=" << k;
-      }
+    std::vector<ServerId> dropped = reps;
+    std::erase(dropped, drop_cand);
+
+    EXPECT_BITEQ(drp::CostModel::object_cost(eval.placement(), k),
+                 set_cost(k, reps))
+        << "k=" << k;
+    const bool can_add = eval.can_replicate(add_cand, k);
+    if (can_add) {
+      std::vector<ServerId> added = reps;
+      added.push_back(add_cand);
+      EXPECT_BITEQ(eval.cost_if_added(add_cand, k), set_cost(k, added))
+          << "k=" << k;
+    }
+    const bool can_drop = drop_cand != 0 && drop_cand != p.primary[k];
+    if (can_drop) {
+      EXPECT_BITEQ(eval.cost_if_dropped(drop_cand, k), set_cost(k, dropped))
+          << "k=" << k;
+    }
+    if (can_drop && eval.placement().can_replicate(add_cand, k)) {
+      std::vector<ServerId> swapped = dropped;
+      swapped.push_back(add_cand);
+      EXPECT_BITEQ(eval.cost_if_swapped(drop_cand, add_cand, k),
+                   set_cost(k, swapped))
+          << "k=" << k;
+    }
+    // The candidate scan's winner carries exactly global_benefit's bits,
+    // and no feasible candidate beats it.
+    const auto best = eval.best_add_for_object(k, nullptr, scratch, false);
+    if (best.benefit > 0.0) {
+      EXPECT_BITEQ(best.benefit, drp::CostModel::global_benefit(
+                                     eval.placement(), best.server, k))
+          << "k=" << k;
+    }
+    if (can_add) {
+      EXPECT_GE(best.benefit, drp::CostModel::global_benefit(
+                                  eval.placement(), add_cand, k))
+          << "k=" << k;
     }
   }
 }
 
 TEST(KernelEngineParity, EmptyAndSingleAccessorObjects) {
-  SimdGuard guard;
   // Hand-built matrix with an empty row and a single-accessor row.
   drp::Problem p;
   p.distances = std::make_shared<const net::DistanceMatrix>(
@@ -430,15 +389,12 @@ TEST(KernelEngineParity, EmptyAndSingleAccessorObjects) {
   p.validate();
 
   drp::ReplicaPlacement placement(p);
-  for (const bool simd : {true, false}) {
-    kernels::set_simd_enabled(simd);
-    EXPECT_BITEQ(drp::CostModel::object_cost(placement, 0), 0.0);
-    const double c1 = drp::CostModel::object_cost(placement, 1);
-    const double c1_reps = drp::CostModel::object_cost_with_replicators(
-        p, 1, placement.replicators(1));
-    EXPECT_BITEQ(c1, c1_reps);
-    EXPECT_GT(drp::CostModel::object_cost(placement, 2), 0.0);
-  }
+  EXPECT_BITEQ(drp::CostModel::object_cost(placement, 0), 0.0);
+  const double c1 = drp::CostModel::object_cost(placement, 1);
+  const double c1_reps = drp::CostModel::object_cost_with_replicators(
+      p, 1, placement.replicators(1));
+  EXPECT_BITEQ(c1, c1_reps);
+  EXPECT_GT(drp::CostModel::object_cost(placement, 2), 0.0);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# Builds the concurrency-sensitive test binaries under ThreadSanitizer (or
+# Builds the sanitizer-sensitive test binaries under ThreadSanitizer (or
 # AddressSanitizer with SAN=address, or UBSan with SAN=undefined — the
 # undefined build compiles with -fno-sanitize-recover=all so any report
 # aborts the test) and runs them.  The thread-pool's
@@ -7,7 +7,9 @@
 # chunk claiming, the completion latch, and the stack-job entrants drain are
 # all bare atomics, exactly what TSan is for.  The build instruments the
 # observability layer too (-DAGTRAM_OBS=ON) so the relaxed counter atomics
-# and the trace-sink pointer are under the same sanitizers as the pool.
+# and the trace-sink pointer are under the same sanitizers as the pool.  The
+# text parsers (test_drp, test_horizon, test_trace), the randomized fuzz
+# instances and the layout goldens ride along for ASan/UBSan coverage.
 #
 # Usage:  tools/run_sanitized_tests.sh [build-dir]
 #   SAN=address|thread|undefined   sanitizer to use (default: thread)
@@ -17,23 +19,24 @@ SAN="${SAN:-thread}"
 BUILD="${1:-build-${SAN}san}"
 SRC="$(cd "$(dirname "$0")/.." && pwd)"
 
+# The binaries built and run, in run order.
+TESTS="test_common test_mechanism test_runtime test_baselines_delta
+       test_kernels test_online test_obs test_obs_noop test_regional
+       test_serving test_strategic test_glauber test_tree_placement
+       test_trace test_characterize test_drp test_horizon test_fuzz
+       test_layout"
+
 cmake -B "$BUILD" -S "$SRC" \
   -DAGTRAM_SANITIZE="$SAN" \
   -DAGTRAM_OBS=ON \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DAGTRAM_BUILD_BENCH=OFF \
   -DAGTRAM_BUILD_EXAMPLES=OFF
-cmake --build "$BUILD" -j "$(nproc)" \
-  --target test_common test_mechanism test_runtime test_baselines_delta \
-           test_kernels test_online test_obs test_obs_noop test_regional \
-           test_serving test_strategic test_glauber test_tree_placement \
-           test_trace test_characterize
+# shellcheck disable=SC2086  # TESTS is a word list on purpose
+cmake --build "$BUILD" -j "$(nproc)" --target $TESTS
 
 status=0
-for t in test_common test_mechanism test_runtime test_baselines_delta \
-         test_kernels test_online test_obs test_obs_noop test_regional \
-         test_serving test_strategic test_glauber test_tree_placement \
-         test_trace test_characterize; do
+for t in $TESTS; do
   echo "== $SAN-sanitized $t =="
   # The paper-scale differential cases take minutes under a sanitizer's
   # slowdown; the small-family + fuzz cases exercise the same parallel scans.
