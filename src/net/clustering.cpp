@@ -1,13 +1,13 @@
 #include "net/clustering.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <limits>
 #include <stdexcept>
 #include <unordered_set>
 
 #include "common/prng.hpp"
-#include "common/thread_pool.hpp"
 
 namespace agtram::net {
 
@@ -144,16 +144,20 @@ Clustering cluster_servers_sampled(const Graph& graph,
   result.assignment.resize(n);
 
   // One Dijkstra strip per region and sweep instead of the M x M closure.
-  std::vector<std::vector<Cost>> strips(k);
+  // Workers never throw: an overflow is a flag, thrown after the join.
+  const Adjacency adjacency(graph);
+  std::vector<std::vector<Cost>> strips(k, std::vector<Cost>(n));
   const auto compute_strips = [&] {
-    common::ThreadPool::shared().parallel_for(
-        0, k,
-        [&](std::size_t b, std::size_t e) {
-          for (std::size_t r = b; r < e; ++r) {
-            strips[r] = dijkstra(graph, result.medoids[r]);
-          }
-        },
-        1);
+    std::atomic<bool> overflow{false};
+    for_each_claimed(k, [&](std::size_t r, DijkstraWorkspace& workspace) {
+      if (!dijkstra_into(adjacency, result.medoids[r], strips[r], workspace)) {
+        overflow.store(true, std::memory_order_relaxed);
+      }
+    });
+    if (overflow.load(std::memory_order_relaxed)) {
+      throw std::overflow_error(
+          "cluster_servers_sampled: path cost exceeds the Cost range");
+    }
   };
 
   // Capacitated greedy assignment in ascending node order: medoids are
@@ -201,8 +205,9 @@ Clustering cluster_servers_sampled(const Graph& graph,
 
   // One refinement sweep: per region, score the incumbent medoid plus a
   // sampled candidate set on the region subgraph and keep the argmin.
-  constexpr std::uint32_t kNoLocal = std::numeric_limits<std::uint32_t>::max();
-  std::vector<std::uint32_t> local(n, kNoLocal);
+  std::vector<std::uint32_t> local(n, 0);
+  std::vector<Cost> subd;
+  DijkstraWorkspace workspace;
   const auto refine = [&]() -> bool {
     bool changed = false;
     std::vector<std::vector<NodeId>> members(k);
@@ -213,14 +218,8 @@ Clustering cluster_servers_sampled(const Graph& graph,
       const std::vector<NodeId>& mem = members[r];
       if (mem.size() <= 1) continue;
       for (std::uint32_t i = 0; i < mem.size(); ++i) local[mem[i]] = i;
-      Graph sub(mem.size());
-      for (const NodeId node : mem) {
-        for (const Edge& edge : graph.neighbors(node)) {
-          if (edge.to > node && result.assignment[edge.to] == r) {
-            sub.add_edge(local[node], local[edge.to], edge.cost);
-          }
-        }
-      }
+      const Adjacency sub(graph, mem, result.assignment, local);
+      subd.resize(mem.size());
       // Incumbent first, then up to medoid_candidates distinct samples.
       std::vector<NodeId> candidates{result.medoids[r]};
       const std::uint32_t tries = config.medoid_candidates * 3;
@@ -237,7 +236,10 @@ Clustering cluster_servers_sampled(const Graph& graph,
       NodeId best_node = result.medoids[r];
       std::uint64_t best_score = std::numeric_limits<std::uint64_t>::max();
       for (const NodeId candidate : candidates) {
-        const std::vector<Cost> subd = dijkstra(sub, local[candidate]);
+        if (!dijkstra_into(sub, local[candidate], subd, workspace)) {
+          throw std::overflow_error(
+              "cluster_servers_sampled: path cost exceeds the Cost range");
+        }
         std::uint64_t score = 0;
         for (const NodeId node : mem) {
           score += candidate_distance(subd[local[node]], strips[r][candidate],

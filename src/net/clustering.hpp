@@ -55,12 +55,15 @@ struct SampledClusteringConfig {
 };
 
 /// Closure-free k-medoids for large M: clusters directly on the graph with
-/// R single-source Dijkstra strips per sweep instead of the O(M^2) metric
-/// closure.  Assignment is capacitated greedy in ascending node order
+/// R single-source Dijkstra strips per sweep (the engine of
+/// shortest_paths.hpp over one CSR adjacency, strips in parallel) instead of
+/// the O(M^2) metric closure.  Assignment is capacitated greedy in ascending node order
 /// (medoids pinned to their own region; ties to the lowest region id), so
 /// the result is deterministic in the config.  Medoid refinement scores a
 /// sampled candidate set per region against min(region-subgraph distance,
-/// route via the incumbent centre).  Throws on zero regions.
+/// route via the incumbent centre), the subgraph built directly as CSR.
+/// Throws std::invalid_argument on zero regions, std::overflow_error if a
+/// strip or region-subgraph path costs kUnreachable or more.
 Clustering cluster_servers_sampled(const Graph& graph,
                                    const SampledClusteringConfig& config);
 

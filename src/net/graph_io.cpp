@@ -10,6 +10,7 @@
 #include <string_view>
 
 #include "common/parse.hpp"
+#include "net/shortest_paths.hpp"
 
 namespace agtram::net {
 
@@ -64,7 +65,8 @@ Graph read_graph(std::istream& is) {
     if (a >= graph->node_count() || b >= graph->node_count()) {
       fail("endpoint out of range");
     }
-    if (cost == 0 || cost > std::numeric_limits<Cost>::max()) {
+    // kUnreachable is the "no path" sentinel, never a link cost.
+    if (cost == 0 || cost >= kUnreachable) {
       fail("cost out of range");
     }
     graph->add_edge(static_cast<NodeId>(a), static_cast<NodeId>(b),

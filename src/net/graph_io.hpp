@@ -5,7 +5,8 @@
 // Format:
 //   # comments
 //   nodes <M>
-//   <a> <b> <cost>          one line per undirected edge
+//   <a> <b> <cost>          one line per undirected edge,
+//                           1 <= cost < 2^32 - 1 (kUnreachable)
 #pragma once
 
 #include <iosfwd>
@@ -17,7 +18,7 @@ namespace agtram::net {
 void write_graph(std::ostream& os, const Graph& graph);
 
 /// Throws std::runtime_error on malformed input, out-of-range endpoints, or
-/// zero costs.
+/// costs outside [1, kUnreachable).
 Graph read_graph(std::istream& is);
 
 }  // namespace agtram::net

@@ -18,6 +18,13 @@
 // undershoot the true metric.  Total footprint is sum_r (n_r + R)^2 + R*M
 // Cost entries — estimate_bytes() lets callers enforce a budget before
 // anything is materialised.
+//
+// Every distance comes from the one engine in shortest_paths.hpp: the
+// strips over the whole graph's CSR adjacency, the member rows over each
+// region's induced subgraph, built directly as CSR.  The member rows are one
+// flat parallel pass over all (region, member) pairs, each worker claiming
+// the next pair, so regions of 21 or 3126 members balance alike; each
+// Dijkstra writes straight into its block row.
 #pragma once
 
 #include <cstddef>
@@ -37,8 +44,10 @@ class TiledDistances {
   /// building anything.  Exact for build() on the same clustering.
   static std::uint64_t estimate_bytes(const Clustering& clustering);
 
-  /// Materialises the per-region blocks (regions in parallel on the shared
-  /// pool) and the centre strips.  Deterministic in (graph, clustering).
+  /// Materialises the per-region blocks and the centre strips on the shared
+  /// pool.  Deterministic in (graph, clustering), whatever the worker count.
+  /// Throws std::overflow_error if a strip or region-subgraph path costs
+  /// kUnreachable or more.
   static TiledDistances build(const Graph& graph, const Clustering& clustering);
 
   TiledDistances() = default;

@@ -133,6 +133,9 @@ TEST(GraphIo, MalformedInputsThrow) {
   expect_throw("nodes 3\n0 1 +5\n", 2);      // signed cost
   expect_throw("nodes 3\n0 -1 5\n", 2);      // negative endpoint
   expect_throw("nodes 3\n0 1 99999999999999999999\n", 2);  // overflow
+  expect_throw("nodes 3\n0 1 4294967296\n", 2);  // above the Cost range
+  expect_throw("nodes 3\n0 1 4294967295\n", 2);  // the kUnreachable sentinel
+  expect_throw("nodes 3\n0 1 5\n1 2 4294967295\n", 3);  // later line named
   expect_throw("nodes 3 9\n", 1);            // trailing header token
   expect_throw("nodes -1\n", 1);             // negative node count
   expect_throw("nodes 4294967296\n", 1);     // above the NodeId range

@@ -1,16 +1,54 @@
-// Unit tests for src/net: graph primitives, topology generators, and the
-// shortest-path metric closure.
+// Unit tests for src/net: graph primitives, topology generators, the
+// Dijkstra engine (against a binary-heap reference) and the shortest-path
+// metric closure.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/prng.hpp"
 #include "net/graph.hpp"
+#include "net/graph_io.hpp"
 #include "net/shortest_paths.hpp"
 #include "net/topology.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
 using namespace agtram::net;
+using agtram::testutil::reference_dijkstra;
+
+/// Every source's engine row equals the reference row, through `workspace`.
+void expect_engine_matches_reference(const Graph& g,
+                                     DijkstraWorkspace& workspace) {
+  const Adjacency adjacency(g);
+  std::vector<Cost> row(g.node_count());
+  for (NodeId src = 0; src < g.node_count(); ++src) {
+    ASSERT_TRUE(dijkstra_into(adjacency, src, row, workspace));
+    ASSERT_EQ(row, reference_dijkstra(g, src)) << "source " << src;
+  }
+}
+
+/// A graph with `nodes` nodes, each pair linked with probability `p` at a
+/// uniform cost in [1, max_cost].
+Graph random_cost_graph(std::uint32_t nodes, double p, Cost max_cost,
+                        std::uint64_t seed) {
+  agtram::common::Rng rng(seed);
+  Graph g(nodes);
+  for (NodeId a = 0; a < nodes; ++a) {
+    for (NodeId b = a + 1; b < nodes; ++b) {
+      if (rng.uniform() < p) {
+        g.add_edge(a, b, static_cast<Cost>(1 + rng.below(max_cost)));
+      }
+    }
+  }
+  return g;
+}
 
 // --------------------------------------------------------------- graph
 
@@ -89,6 +127,102 @@ TEST(Dijkstra, UnreachableNodes) {
   EXPECT_EQ(d[2], kUnreachable);
 }
 
+struct KindAndShape {
+  TopologyKind kind;
+  TreeShape shape;
+};
+
+TEST(DijkstraEngine, MatchesReferenceOnEveryTopology) {
+  DijkstraWorkspace workspace;
+  for (const KindAndShape ks :
+       {KindAndShape{TopologyKind::FlatRandom, TreeShape::Random},
+        KindAndShape{TopologyKind::Waxman, TreeShape::Random},
+        KindAndShape{TopologyKind::TransitStub, TreeShape::Random},
+        KindAndShape{TopologyKind::PowerLaw, TreeShape::Random},
+        KindAndShape{TopologyKind::Tree, TreeShape::Random},
+        KindAndShape{TopologyKind::Tree, TreeShape::Balanced},
+        KindAndShape{TopologyKind::Tree, TreeShape::Caterpillar}}) {
+    TopologyConfig cfg;
+    cfg.kind = ks.kind;
+    cfg.tree_shape = ks.shape;
+    cfg.nodes = 150;
+    cfg.edge_probability = 0.1;
+    cfg.max_cost = 1000;
+    cfg.seed = 41;
+    SCOPED_TRACE(to_string(ks.kind) + " shape " +
+                 std::to_string(static_cast<int>(ks.shape)));
+    const Graph g = generate_topology(cfg);
+    expect_engine_matches_reference(g, workspace);
+    const DistanceMatrix dm = DistanceMatrix::compute(g);
+    for (NodeId src = 0; src < g.node_count(); src += 37) {
+      const std::vector<Cost> expected = reference_dijkstra(g, src);
+      EXPECT_TRUE(std::equal(expected.begin(), expected.end(),
+                             dm.row(src).begin()));
+    }
+  }
+}
+
+TEST(DijkstraEngine, MatchesReferenceOnRandomCostsUpTo2To30) {
+  DijkstraWorkspace workspace;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    Graph g = random_cost_graph(90, 0.3, Cost{1} << 30, seed);
+    g.make_connected(Cost{1} << 30);
+    // The reference sums in Cost: it is only exact while every settled
+    // distance plus one link stays below 2^32, which a diameter under
+    // 3 * 2^30 guarantees.
+    ASSERT_LT(DistanceMatrix::compute(g).diameter(), Cost{3} << 30);
+    expect_engine_matches_reference(g, workspace);
+  }
+}
+
+TEST(DijkstraEngine, MatchesReferenceOnDisconnectedGraphs) {
+  DijkstraWorkspace workspace;
+  // Sparse random graphs leave isolated nodes and small components.
+  for (const std::uint64_t seed : {4u, 5u}) {
+    const Graph g = random_cost_graph(120, 0.012, 50, seed);
+    ASSERT_FALSE(g.connected());
+    expect_engine_matches_reference(g, workspace);
+  }
+  Graph islands(5);  // {0, 1} and {3, 4}; node 2 alone
+  islands.add_edge(0, 1, 7);
+  islands.add_edge(3, 4, 2);
+  expect_engine_matches_reference(islands, workspace);
+}
+
+TEST(DijkstraEngine, WorkspaceReusedAcrossGraphSizes) {
+  // One workspace across large, tiny and mid-sized graphs in turn: a stale
+  // bucket entry from an earlier run would index past a smaller graph or
+  // corrupt a row.
+  DijkstraWorkspace workspace;
+  TopologyConfig cfg;
+  cfg.kind = TopologyKind::PowerLaw;
+  cfg.max_cost = 500;
+  for (const std::uint32_t nodes : {200u, 3u, 120u, 1u, 200u, 17u}) {
+    cfg.nodes = nodes;
+    cfg.seed = nodes;
+    SCOPED_TRACE("nodes " + std::to_string(nodes));
+    expect_engine_matches_reference(generate_topology(cfg), workspace);
+  }
+}
+
+TEST(DijkstraEngine, InducedSubgraphKeepsOnlyInternalEdges) {
+  //   0 -1- 1 -1- 2 -1- 3, plus 0 -9- 3; part {0, 3} vs {1, 2}
+  Graph g(4);
+  g.add_edge(0, 1, 1);
+  g.add_edge(1, 2, 1);
+  g.add_edge(2, 3, 1);
+  g.add_edge(0, 3, 9);
+  const std::vector<std::uint32_t> part{0, 1, 1, 0};
+  const std::vector<std::uint32_t> local{0, 0, 1, 1};
+  const std::vector<NodeId> outer{0, 3};
+  const Adjacency sub(g, outer, part, local);
+  ASSERT_EQ(sub.node_count(), 2u);
+  DijkstraWorkspace workspace;
+  std::vector<Cost> row(2);
+  ASSERT_TRUE(dijkstra_into(sub, 0, row, workspace));
+  EXPECT_EQ(row, (std::vector<Cost>{0, 9}));  // the 1-1-1 path leaves the part
+}
+
 // ----------------------------------------------------- distance matrix
 
 TEST(DistanceMatrixTest, MatchesDijkstraRows) {
@@ -127,6 +261,33 @@ TEST(DistanceMatrixTest, DisconnectedGraphThrows) {
   EXPECT_THROW(DistanceMatrix::compute(g), std::runtime_error);
 }
 
+TEST(DistanceMatrixTest, PathCostOverflowThrows) {
+  // Two links of 3e9 load fine, but the 0 -> 2 path costs 6e9.  Summed in
+  // Cost it would wrap to 1705032704 < d(0, 1).
+  std::stringstream text("nodes 3\n0 1 3000000000\n1 2 3000000000\n");
+  const Graph g = read_graph(text);
+  EXPECT_THROW(DistanceMatrix::compute(g), std::overflow_error);
+  EXPECT_THROW(dijkstra(g, 0), std::overflow_error);
+  // A link costing the sentinel itself is a reachable node, not a
+  // disconnected graph.
+  Graph sentinel(2);
+  sentinel.add_edge(0, 1, kUnreachable);
+  EXPECT_THROW(DistanceMatrix::compute(sentinel), std::overflow_error);
+}
+
+TEST(DistanceMatrixTest, OverflowingDetourIsNotAnOverflow) {
+  // The 0 -> 1 -> 2 detour costs 6e9, but the shortest 0 -> 2 path is the
+  // direct link: every distance fits, so nothing throws.
+  Graph g(3);
+  g.add_edge(0, 1, 3000000000u);
+  g.add_edge(1, 2, 3000000000u);
+  g.add_edge(0, 2, 5);
+  const DistanceMatrix dm = DistanceMatrix::compute(g);
+  EXPECT_EQ(dm(0, 2), 5u);
+  EXPECT_EQ(dm(0, 1), 3000000000u);
+  EXPECT_EQ(dm(1, 2), 3000000000u);
+}
+
 TEST(DistanceMatrixTest, FromRowsValidation) {
   EXPECT_NO_THROW(DistanceMatrix::from_rows(2, {0, 3, 3, 0}));
   EXPECT_THROW(DistanceMatrix::from_rows(2, {0, 3, 3}), std::invalid_argument);
@@ -142,6 +303,68 @@ TEST(DistanceMatrixTest, DiameterAndMean) {
                                                           3, 2, 0});
   EXPECT_EQ(dm.diameter(), 3u);
   EXPECT_NEAR(dm.mean_distance(), (1 + 3 + 2) / 3.0, 1e-12);
+}
+
+/// A symmetric zero-diagonal n x n matrix with pseudo-random entries.
+std::vector<Cost> symmetric_rows(std::size_t n, std::uint64_t seed) {
+  agtram::common::Rng rng(seed);
+  std::vector<Cost> rows(n * n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      rows[i * n + j] = rows[j * n + i] =
+          static_cast<Cost>(1 + rng.below(1u << 20));
+    }
+  }
+  return rows;
+}
+
+// Sizes straddle the 64-wide validation tile: one tile, one tile exactly,
+// a ragged edge tile, and two full tiles plus a ragged one.
+constexpr std::size_t kTiledSizes[] = {1, 63, 64, 65, 130};
+
+TEST(DistanceMatrixTest, FromRowsTiledDiameterAndMeanMatchNaive) {
+  for (const std::size_t n : kTiledSizes) {
+    const std::vector<Cost> rows = symmetric_rows(n, n);
+    Cost max = 0;
+    double triangle = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        max = std::max(max, rows[i * n + j]);
+        if (j > i) triangle += rows[i * n + j];
+      }
+    }
+    const double mean =
+        n < 2 ? 0.0 : triangle / (static_cast<double>(n) * (n - 1) / 2.0);
+    const DistanceMatrix dm = DistanceMatrix::from_rows(n, rows);
+    EXPECT_EQ(dm.diameter(), max) << n;
+    EXPECT_EQ(dm.mean_distance(), mean) << n;
+  }
+}
+
+TEST(DistanceMatrixTest, FromRowsTiledCatchesEveryPlantedDefect) {
+  for (const std::size_t n : kTiledSizes) {
+    const std::vector<Cost> good = symmetric_rows(n, 100 + n);
+    EXPECT_NO_THROW(DistanceMatrix::from_rows(n, good)) << n;
+    // (i, j) cells: the diagonal tile, an off-diagonal tile, the ragged
+    // edge tile and its last cell, each planted in the upper and the lower
+    // triangle; cells outside an n x n matrix are skipped.
+    const std::pair<std::size_t, std::size_t> cells[] = {
+        {1, 2}, {2, 1}, {5, 70}, {70, 5}, {3, n - 1}, {n - 1, 3},
+        {n - 2, n - 1}, {n - 1, n - 2}, {64, 127}, {127, 64}};
+    for (const auto& [i, j] : cells) {
+      if (i >= n || j >= n || i == j) continue;
+      std::vector<Cost> bad = good;
+      bad[i * n + j] += 1;
+      EXPECT_THROW(DistanceMatrix::from_rows(n, bad), std::invalid_argument)
+          << "n " << n << " cell " << i << "," << j;
+    }
+    for (const std::size_t d : {std::size_t{0}, n / 2, n - 1}) {
+      std::vector<Cost> bad = good;
+      bad[d * n + d] = 1;
+      EXPECT_THROW(DistanceMatrix::from_rows(n, bad), std::invalid_argument)
+          << "n " << n << " diagonal " << d;
+    }
+  }
 }
 
 // ------------------------------------------------- topology generators

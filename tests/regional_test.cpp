@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -16,6 +20,7 @@
 #include "drp/cost_model.hpp"
 #include "net/clustering.hpp"
 #include "net/tiled_distances.hpp"
+#include "net/topology.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -518,6 +523,149 @@ TEST(TiledDistancesTest, SingleRegionBlockIsExactClosure) {
       EXPECT_EQ(block(a, b), exact(a, b));
     }
   }
+}
+
+/// Test-side reference for TiledDistances::build, from the binary-heap
+/// oracle: strips are full-graph rows from each centre; a member row is the
+/// region-subgraph row (a Graph built edge by edge) min the route via the
+/// own centre; gateway rows and columns come from the strips.
+struct ReferenceTiles {
+  std::vector<std::vector<net::Cost>> strips;
+  std::vector<std::vector<net::Cost>> blocks;  ///< row-major, side n_r + R
+};
+
+ReferenceTiles reference_tiles(const net::Graph& graph,
+                               const net::Clustering& c) {
+  using net::Cost;
+  const std::size_t k = c.region_count();
+  ReferenceTiles ref;
+  for (std::uint32_t q = 0; q < k; ++q) {
+    ref.strips.push_back(testutil::reference_dijkstra(graph, c.medoids[q]));
+  }
+  const auto via_centre = [](Cost a, Cost b) -> Cost {
+    const std::uint64_t sum = std::uint64_t{a} + b;
+    return sum >= net::kUnreachable ? net::kUnreachable
+                                    : static_cast<Cost>(sum);
+  };
+  for (std::uint32_t r = 0; r < k; ++r) {
+    const std::vector<net::NodeId> mem = c.members(r);
+    const std::size_t n = mem.size();
+    const std::size_t side = n + k;
+    const std::vector<Cost>& own = ref.strips[r];
+    constexpr std::uint32_t kOutside = ~std::uint32_t{0};
+    std::vector<std::uint32_t> local(graph.node_count(), kOutside);
+    for (std::uint32_t i = 0; i < n; ++i) local[mem[i]] = i;
+    net::Graph sub(std::max<std::size_t>(n, 1));
+    for (const net::NodeId node : mem) {
+      for (const net::Edge& e : graph.neighbors(node)) {
+        if (e.to > node && local[e.to] != kOutside) {
+          sub.add_edge(local[node], local[e.to], e.cost);
+        }
+      }
+    }
+    std::vector<Cost> rows(side * side, 0);
+    for (std::uint32_t a = 0; a < n; ++a) {
+      const std::vector<Cost> subd = testutil::reference_dijkstra(sub, a);
+      for (std::uint32_t b = 0; b < n; ++b) {
+        rows[a * side + b] =
+            std::min(subd[b], via_centre(own[mem[a]], own[mem[b]]));
+      }
+      for (std::uint32_t q = 0; q < k; ++q) {
+        rows[a * side + n + q] = ref.strips[q][mem[a]];
+        rows[(n + q) * side + a] = ref.strips[q][mem[a]];
+      }
+    }
+    for (std::uint32_t q = 0; q < k; ++q) {
+      for (std::uint32_t p = 0; p < k; ++p) {
+        rows[(n + q) * side + n + p] = ref.strips[q][c.medoids[p]];
+      }
+    }
+    ref.blocks.push_back(std::move(rows));
+  }
+  return ref;
+}
+
+/// Every strip and every block of the engine's tiles equals the reference
+/// byte for byte.
+void expect_tiles_match_reference(const net::Graph& graph,
+                                  const net::Clustering& c) {
+  const net::TiledDistances tiles = net::TiledDistances::build(graph, c);
+  const ReferenceTiles ref = reference_tiles(graph, c);
+  ASSERT_EQ(tiles.region_count(), c.region_count());
+  for (std::uint32_t r = 0; r < c.region_count(); ++r) {
+    const std::span<const net::Cost> strip = tiles.centre_strip(r);
+    EXPECT_TRUE(std::equal(strip.begin(), strip.end(), ref.strips[r].begin(),
+                           ref.strips[r].end()))
+        << "strip " << r;
+    EXPECT_EQ(tiles.members(r), c.members(r));
+    const net::DistanceMatrix& block = *tiles.block(r);
+    const std::size_t side = block.node_count();
+    ASSERT_EQ(side * side, ref.blocks[r].size()) << "region " << r;
+    for (net::NodeId a = 0; a < side; ++a) {
+      const std::span<const net::Cost> row = block.row(a);
+      ASSERT_TRUE(std::equal(row.begin(), row.end(),
+                             ref.blocks[r].begin() + a * side))
+          << "region " << r << " row " << a;
+    }
+  }
+}
+
+TEST(TiledDistancesDifferential, ByteIdenticalToReferenceBuilder) {
+  for (const net::TopologyKind kind :
+       {net::TopologyKind::PowerLaw, net::TopologyKind::TransitStub,
+        net::TopologyKind::Waxman}) {
+    net::TopologyConfig topo;
+    topo.kind = kind;
+    topo.nodes = 160;
+    topo.max_cost = 40;
+    topo.seed = 270;
+    const net::Graph graph = net::generate_topology(topo);
+    for (const std::uint32_t regions : {1u, 3u, 8u}) {
+      const std::uint32_t tight = (topo.nodes + regions - 1) / regions;
+      for (const std::uint32_t max_members : {0u, tight}) {
+        SCOPED_TRACE(net::to_string(kind) + " R=" + std::to_string(regions) +
+                     " max_members=" + std::to_string(max_members));
+        net::SampledClusteringConfig cfg;
+        cfg.regions = regions;
+        cfg.max_members = max_members;
+        expect_tiles_match_reference(
+            graph, net::cluster_servers_sampled(graph, cfg));
+      }
+    }
+  }
+}
+
+TEST(TiledDistancesDifferential, OneMemberRegionMatchesReference) {
+  net::TopologyConfig topo;
+  topo.kind = net::TopologyKind::PowerLaw;
+  topo.nodes = 90;
+  topo.seed = 271;
+  const net::Graph graph = net::generate_topology(topo);
+  net::SampledClusteringConfig cfg;
+  cfg.regions = 3;
+  net::Clustering c = net::cluster_servers_sampled(graph, cfg);
+  // Carve the lowest non-medoid node of region 0 out as its own region.
+  const std::vector<net::NodeId> first = c.members(0);
+  const auto lone = *std::find_if(first.begin(), first.end(), [&](auto v) {
+    return v != c.medoids[0];
+  });
+  c.assignment[lone] = 3;
+  c.medoids.push_back(lone);
+  ASSERT_EQ(c.members(3).size(), 1u);
+  expect_tiles_match_reference(graph, c);
+}
+
+TEST(TiledDistancesTest, PathCostOverflowThrows) {
+  // A path of 3e9 links: from any centre some node is >= 6e9 away.
+  net::Graph graph(4);
+  for (net::NodeId v = 0; v + 1 < 4; ++v) graph.add_edge(v, v + 1, 3000000000u);
+  net::Clustering one;
+  one.assignment = {0, 0, 0, 0};
+  one.medoids = {1};
+  EXPECT_THROW(net::TiledDistances::build(graph, one), std::overflow_error);
+  net::SampledClusteringConfig cfg;
+  cfg.regions = 2;
+  EXPECT_THROW(net::cluster_servers_sampled(graph, cfg), std::overflow_error);
 }
 
 // ------------------------------------------------------------ tiled engine

@@ -1,8 +1,12 @@
 // Shared fixtures: tiny hand-constructed DRP instances with known geometry,
-// used by the cost-model oracle tests and the mechanism/baseline suites.
+// used by the cost-model oracle tests and the mechanism/baseline suites,
+// and the binary-heap Dijkstra the distance engine is checked against.
 #pragma once
 
+#include <functional>
 #include <memory>
+#include <queue>
+#include <utility>
 #include <vector>
 
 #include "drp/access_matrix.hpp"
@@ -11,6 +15,33 @@
 #include "net/shortest_paths.hpp"
 
 namespace agtram::testutil {
+
+/// Reference single-source Dijkstra: a std::priority_queue binary heap over
+/// the Graph's own adjacency, summing in Cost.  The engine must reproduce
+/// its rows byte for byte wherever no path cost overflows.
+inline std::vector<net::Cost> reference_dijkstra(const net::Graph& graph,
+                                                 net::NodeId source) {
+  using net::Cost;
+  using net::NodeId;
+  std::vector<Cost> dist(graph.node_count(), net::kUnreachable);
+  using Item = std::pair<Cost, NodeId>;  // (distance, node)
+  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
+  dist[source] = 0;
+  heap.emplace(0, source);
+  while (!heap.empty()) {
+    const auto [d, u] = heap.top();
+    heap.pop();
+    if (d != dist[u]) continue;  // stale entry
+    for (const net::Edge& e : graph.neighbors(u)) {
+      const Cost candidate = d + e.cost;
+      if (candidate < dist[e.to]) {
+        dist[e.to] = candidate;
+        heap.emplace(candidate, e.to);
+      }
+    }
+  }
+  return dist;
+}
 
 /// A 3-server line topology:  S0 --1-- S1 --2-- S2   (c(0,2) = 3)
 /// with 2 objects:

@@ -20,11 +20,11 @@ BUILD="${1:-build-${SAN}san}"
 SRC="$(cd "$(dirname "$0")/.." && pwd)"
 
 # The binaries built and run, in run order.
-TESTS="test_common test_mechanism test_runtime test_baselines_delta
+TESTS="test_common test_net test_mechanism test_runtime test_baselines_delta
        test_kernels test_online test_obs test_obs_noop test_regional
        test_serving test_strategic test_glauber test_tree_placement
        test_trace test_characterize test_drp test_horizon test_fuzz
-       test_layout"
+       test_layout test_edge_cases"
 
 cmake -B "$BUILD" -S "$SRC" \
   -DAGTRAM_SANITIZE="$SAN" \
