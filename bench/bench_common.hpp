@@ -159,23 +159,16 @@ inline void add_common_flags(common::Cli& cli) {
   cli.add_flag("csv", "", "also write results as CSV to this file path");
 }
 
-/// Flag shared by the binaries that sweep the baseline registry: which
-/// evaluation path the baselines use.  Both paths produce bit-identical
-/// placements (enforced by tests/baselines_delta_test.cpp and the
-/// micro_core baseline family); 'naive' exists to re-measure the oracle.
-inline void add_baseline_eval_flag(common::Cli& cli) {
-  cli.add_flag("baseline-eval", "delta",
-               "baseline evaluation path: 'delta' (incremental engine) or "
-               "'naive' (full-recompute oracle; identical results)");
+/// Flag shared by the binaries that sweep the baseline registry: whether
+/// the baselines' candidate scans may fan out over the pool (placements are
+/// bit-identical either way; micro_core's baseline family enforces it).
+inline void add_parallel_scans_flag(common::Cli& cli) {
   cli.add_flag("parallel-scans", "1",
-               "enable pool-parallel candidate scans in the delta paths");
+               "enable pool-parallel candidate scans in the baselines");
 }
 
 inline baselines::AlgoOptions resolve_algo_options(const common::Cli& cli) {
   baselines::AlgoOptions options;
-  options.eval = cli.get("baseline-eval") == "naive"
-                     ? baselines::EvalPath::Naive
-                     : baselines::EvalPath::Delta;
   options.parallel_scans = cli.get_int("parallel-scans") != 0;
   return options;
 }

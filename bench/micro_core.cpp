@@ -50,7 +50,6 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -286,8 +285,9 @@ struct TrajectoryOptions {
   bool paper_scale = true;
   int reps = 3;
   int paper_reps = 2;
-  /// Baseline naive-vs-delta family (Greedy, GRA, Aε-Star, Selfish,
-  /// LocalSearch, SA at the base scale; Greedy + GRA at paper scale).
+  /// Baseline family, serial vs parallel scans (Greedy, GRA, Aε-Star,
+  /// Selfish, LocalSearch, SA at the base scale; Greedy + GRA at paper
+  /// scale).
   bool baselines = true;
   int baseline_reps = 2;
   /// Kernel-engine family: the DESIGN.md §10 kernels timed aos / scalar at
@@ -325,10 +325,9 @@ struct TrajectoryOptions {
   /// same lies are replayed against the demand-consuming baselines, where
   /// at least one must show measurable allocation damage.
   bool strategic = true;
-  /// Glauber family: the distributed heat-bath baseline timed Delta vs the
-  /// naive mutate-measure-undo oracle.  Enforced: bit-identical trajectories
-  /// across pricing paths, determinism per seed, and every proposal /
-  /// decision accounted on the MessageBus with nonzero wire bytes.
+  /// Glauber family: the distributed heat-bath baseline, timed.  Enforced:
+  /// determinism per seed, and every proposal / decision accounted on the
+  /// MessageBus with nonzero wire bytes.
   bool glauber = true;
   int glauber_sweeps = 48;
   /// Tree family: Benoit–Rehn–Robert exact-DP vs greedy placement on a
@@ -620,14 +619,14 @@ FamilyReport run_family(bench::JsonWriter& json, const drp::Problem& p,
 }
 
 // ---------------------------------------------------------------------------
-// Baseline naive-vs-delta family.
+// Baseline family.
 //
-// Each baseline is run three ways — naive oracle, delta serial, delta
-// parallel — through the same registry entries the table binaries use.  The
-// delta paths are bit-identical reformulations, so beyond the before/after
-// timing rows the family asserts (nonzero exit) that every variant lands on
-// the same placement cost and replica count, and that parallel scans never
-// lose to serial beyond kParallelTolerance.
+// Each baseline is run twice — serial and pool-parallel candidate scans —
+// through the same registry entries the table binaries use.  Parallel scans
+// are a bit-identical reformulation, so beyond the timing rows the family
+// asserts (nonzero exit) that both runs land on the same placement cost and
+// replica count, and that parallel scans never lose to serial beyond
+// kParallelTolerance.
 // ---------------------------------------------------------------------------
 
 struct BaselineOutcome {
@@ -658,22 +657,13 @@ bool run_baseline_family(bench::JsonWriter& json, const drp::Problem& p,
                          const char* demand, std::uint32_t servers,
                          std::uint32_t objects,
                          const std::vector<std::string>& names, int reps) {
-  struct Variant {
-    const char* eval;
-    bool parallel;
-    baselines::AlgoOptions options;
-  };
-  const Variant variants[3] = {
-      {"naive", false, {baselines::EvalPath::Naive, false}},
-      {"delta", false, {baselines::EvalPath::Delta, false}},
-      {"delta", true, {baselines::EvalPath::Delta, true}},
-  };
   bool ok = true;
   for (const std::string& name : names) {
-    BaselineOutcome out[3];
-    for (int v = 0; v < 3; ++v) {
+    BaselineOutcome out[2];  // [0] = serial scans, [1] = parallel scans
+    for (int v = 0; v < 2; ++v) {
+      const bool parallel = v == 1;
       const baselines::AlgorithmEntry algo =
-          baselines::find_algorithm(name, variants[v].options);
+          baselines::find_algorithm(name, {parallel});
       const bench::ObsSnapshot before = bench::ObsSnapshot::take();
       out[v] = time_baseline(p, algo, reps);
       const bench::ObsSnapshot after = bench::ObsSnapshot::take();
@@ -683,41 +673,32 @@ bool run_baseline_family(bench::JsonWriter& json, const drp::Problem& p,
           .field("servers", static_cast<std::uint64_t>(servers))
           .field("objects", static_cast<std::uint64_t>(objects))
           .field("demand", demand)
-          .field("eval", variants[v].eval)
-          .field("parallel_scan", variants[v].parallel)
+          .field("parallel_scan", parallel)
           .field("seconds", out[v].seconds)
           .field("total_cost", out[v].cost)
           .field("extra_replicas", out[v].replicas)
           .object_field(
               "obs",
-              bench::obs_block(
-                  bench::baseline_decisions(
-                      p,
-                      variants[v].options.eval == baselines::EvalPath::Delta,
-                      variants[v].parallel),
-                  before, after, static_cast<std::uint64_t>(reps)));
+              bench::obs_block(bench::baseline_decisions(p, parallel), before,
+                               after, static_cast<std::uint64_t>(reps)));
       json.add(std::move(record));
-      std::printf("baseline %-11s %ux%u %s %s/%s: %.4fs, %llu replicas\n",
-                  name.c_str(), servers, objects, demand, variants[v].eval,
-                  variants[v].parallel ? "parallel" : "serial", out[v].seconds,
+      std::printf("baseline %-11s %ux%u %s %s: %.4fs, %llu replicas\n",
+                  name.c_str(), servers, objects, demand,
+                  parallel ? "parallel" : "serial", out[v].seconds,
                   static_cast<unsigned long long>(out[v].replicas));
     }
 
-    // The delta engine is a bit-identical reformulation of the naive oracle:
-    // same placement, same total cost (bitwise), for every baseline.
-    bool identical = true;
-    for (int v = 1; v < 3; ++v) {
-      if (out[v].cost != out[0].cost || out[v].replicas != out[0].replicas) {
-        identical = false;
-        std::fprintf(stderr,
-                     "FAIL: %s %s/%s diverged from naive: cost %.17g vs "
-                     "%.17g, replicas %llu vs %llu\n",
-                     name.c_str(), variants[v].eval,
-                     variants[v].parallel ? "parallel" : "serial", out[v].cost,
-                     out[0].cost,
-                     static_cast<unsigned long long>(out[v].replicas),
-                     static_cast<unsigned long long>(out[0].replicas));
-      }
+    // Parallel scans must not change the result: same placement, same
+    // total cost (bitwise), for every baseline.
+    const bool identical =
+        out[1].cost == out[0].cost && out[1].replicas == out[0].replicas;
+    if (!identical) {
+      std::fprintf(stderr,
+                   "FAIL: %s parallel diverged from serial: cost %.17g vs "
+                   "%.17g, replicas %llu vs %llu\n",
+                   name.c_str(), out[1].cost, out[0].cost,
+                   static_cast<unsigned long long>(out[1].replicas),
+                   static_cast<unsigned long long>(out[0].replicas));
     }
     ok = ok && identical;
     bench::JsonWriter::Record identity;
@@ -729,30 +710,11 @@ bool run_baseline_family(bench::JsonWriter& json, const drp::Problem& p,
         .field("ok", identical);
     json.add(std::move(identity));
 
-    const double serial_speedup =
-        out[1].seconds > 0.0 ? out[0].seconds / out[1].seconds : 0.0;
-    const double parallel_speedup =
-        out[2].seconds > 0.0 ? out[0].seconds / out[2].seconds : 0.0;
-    bench::JsonWriter::Record speedup;
-    speedup.field("benchmark", "baseline_speedup")
-        .field("algorithm", name)
-        .field("servers", static_cast<std::uint64_t>(servers))
-        .field("objects", static_cast<std::uint64_t>(objects))
-        .field("demand", demand)
-        .field("naive_seconds", out[0].seconds)
-        .field("delta_serial_seconds", out[1].seconds)
-        .field("delta_parallel_seconds", out[2].seconds)
-        .field("serial_speedup", serial_speedup)
-        .field("parallel_speedup", parallel_speedup);
-    json.add(std::move(speedup));
-    std::printf("  %s delta speedup: %.2fx serial, %.2fx parallel\n",
-                name.c_str(), serial_speedup, parallel_speedup);
-
     // Same execution policy as the mechanism rows: parallel candidate scans
     // must never lose to serial (the round-size cutoffs degrade them to the
     // identical inline path below the crossover).
     const bool parallel_ok =
-        parallel_within_policy(out[1].seconds, out[2].seconds);
+        parallel_within_policy(out[0].seconds, out[1].seconds);
     ok = ok && parallel_ok;
     bench::JsonWriter::Record check;
     check.field("benchmark", "baseline_parallel_check")
@@ -760,8 +722,8 @@ bool run_baseline_family(bench::JsonWriter& json, const drp::Problem& p,
         .field("servers", static_cast<std::uint64_t>(servers))
         .field("objects", static_cast<std::uint64_t>(objects))
         .field("demand", demand)
-        .field("serial_seconds", out[1].seconds)
-        .field("parallel_seconds", out[2].seconds)
+        .field("serial_seconds", out[0].seconds)
+        .field("parallel_seconds", out[1].seconds)
         .field("tolerance", kParallelTolerance)
         .field("ok", parallel_ok);
     json.add(std::move(check));
@@ -769,7 +731,7 @@ bool run_baseline_family(bench::JsonWriter& json, const drp::Problem& p,
       std::fprintf(stderr,
                    "FAIL: %s parallel scan (%.4fs) slower than serial "
                    "(%.4fs) on %ux%u %s\n",
-                   name.c_str(), out[2].seconds, out[1].seconds, servers,
+                   name.c_str(), out[1].seconds, out[0].seconds, servers,
                    objects, demand);
     }
   }
@@ -2200,13 +2162,11 @@ bool run_strategic_family(bench::JsonWriter& json, const drp::Problem& p,
 
 // ---------------------------------------------------------------------------
 // Glauber family: the distributed heat-bath baseline —
-//  * glauber_run            — Delta pricing (timed, wired to a MessageBus)
-//                             and the naive mutate-measure-undo oracle,
-//  * glauber_identity_check — Delta and Naive walk bit-identical chains,
-//                             identical seeds give identical trajectories,
+//  * glauber_run            — timed, wired to a MessageBus,
+//  * glauber_identity_check — identical seeds give identical trajectories,
 //                             and every proposal/decision is accounted on
 //                             the bus with nonzero wire bytes (nonzero exit
-//                             when any of the three fails).
+//                             when either fails).
 
 bool run_glauber_family(bench::JsonWriter& json, const drp::Problem& p,
                         const char* demand, std::uint32_t servers,
@@ -2216,114 +2176,84 @@ bool run_glauber_family(bench::JsonWriter& json, const drp::Problem& p,
   cfg.seed = 7;
   cfg.sweeps = static_cast<std::size_t>(sweeps);
 
-  struct Timed {
-    double seconds = 1e30;
-    double final_cost = 0.0;
-    std::size_t proposals = 0;
-    std::size_t accepted = 0;
-  };
-  std::optional<drp::ReplicaPlacement> placements[2];
-  Timed timed[2];  // [0] = delta, [1] = naive oracle
+  double seconds = 1e30;
+  double final_cost = 0.0;
+  std::size_t proposals = 0;
+  std::size_t accepted = 0;
   runtime::MessageStats wire_stats;
-  for (int v = 0; v < 2; ++v) {
-    baselines::GlauberConfig variant = cfg;
-    variant.eval =
-        v == 0 ? baselines::EvalPath::Delta : baselines::EvalPath::Naive;
-    const int runs = v == 0 ? reps : 1;  // the oracle re-prices everything
-    const bench::ObsSnapshot before = bench::ObsSnapshot::take();
-    for (int rep = 0; rep < runs; ++rep) {
-      runtime::MessageBus bus(p, runtime::MessageBus::pick_centre(p));
-      variant.bus = &bus;
-      common::Timer timer;
-      baselines::GlauberResult result = baselines::run_glauber(p, variant);
-      const double s = timer.seconds();
-      if (s < timed[v].seconds) timed[v].seconds = s;
-      if (rep == 0) {  // deterministic: every rep lands on the same chain
-        timed[v].final_cost = result.final_cost;
-        timed[v].proposals = result.proposals;
-        timed[v].accepted = result.accepted;
-        placements[v].emplace(std::move(result.placement));
-        wire_stats = bus.stats();
-      }
+  baselines::GlauberConfig timed_cfg = cfg;
+  const bench::ObsSnapshot before = bench::ObsSnapshot::take();
+  for (int rep = 0; rep < reps; ++rep) {
+    runtime::MessageBus bus(p, runtime::MessageBus::pick_centre(p));
+    timed_cfg.bus = &bus;
+    common::Timer timer;
+    const baselines::GlauberResult result = baselines::run_glauber(p, timed_cfg);
+    seconds = std::min(seconds, timer.seconds());
+    if (rep == 0) {  // deterministic: every rep lands on the same chain
+      final_cost = result.final_cost;
+      proposals = result.proposals;
+      accepted = result.accepted;
+      wire_stats = bus.stats();
     }
-    const bench::ObsSnapshot after = bench::ObsSnapshot::take();
-
-    bench::JsonWriter::Record run;
-    run.field("benchmark", "glauber_run")
-        .field("servers", static_cast<std::uint64_t>(servers))
-        .field("objects", static_cast<std::uint64_t>(objects))
-        .field("demand", demand)
-        .field("eval", v == 0 ? "delta" : "naive")
-        .field("seconds", timed[v].seconds)
-        .field("sweeps", static_cast<std::uint64_t>(sweeps))
-        .field("proposals", static_cast<std::uint64_t>(timed[v].proposals))
-        .field("accepted", static_cast<std::uint64_t>(timed[v].accepted))
-        .field("final_cost", timed[v].final_cost)
-        .field("savings",
-               initial > 0.0 ? (initial - timed[v].final_cost) / initial
-                             : 0.0)
-        .field("wire_proposal_msgs", wire_stats.glauber_proposal_messages)
-        .field("wire_proposal_bytes", wire_stats.glauber_proposal_bytes)
-        .field("wire_decision_msgs", wire_stats.glauber_decision_messages)
-        .field("wire_decision_bytes", wire_stats.glauber_decision_bytes)
-        .object_field(
-            "obs", bench::obs_block(bench::glauber_decisions(variant), before,
-                                    after,
-                                    static_cast<std::uint64_t>(runs)));
-    json.add(std::move(run));
-    std::printf("glauber %ux%u %s %s: %.4fs, %zu proposals, %zu accepted, "
-                "cost %.0f\n",
-                servers, objects, demand, v == 0 ? "delta" : "naive",
-                timed[v].seconds, timed[v].proposals, timed[v].accepted,
-                timed[v].final_cost);
   }
+  const bench::ObsSnapshot after = bench::ObsSnapshot::take();
 
-  // Identity: the naive oracle consumed the same rng stream, so everything
-  // downstream of the pricing must match bit for bit.
-  bool identity_ok = timed[0].final_cost == timed[1].final_cost &&
-                     timed[0].proposals == timed[1].proposals &&
-                     timed[0].accepted == timed[1].accepted;
-  for (drp::ObjectIndex k = 0; identity_ok && k < p.object_count(); ++k) {
-    const auto a = placements[0]->replicators(k);
-    const auto b = placements[1]->replicators(k);
-    identity_ok = a.size() == b.size() &&
-                  std::equal(a.begin(), a.end(), b.begin());
-  }
+  bench::JsonWriter::Record run;
+  run.field("benchmark", "glauber_run")
+      .field("servers", static_cast<std::uint64_t>(servers))
+      .field("objects", static_cast<std::uint64_t>(objects))
+      .field("demand", demand)
+      .field("seconds", seconds)
+      .field("sweeps", static_cast<std::uint64_t>(sweeps))
+      .field("proposals", static_cast<std::uint64_t>(proposals))
+      .field("accepted", static_cast<std::uint64_t>(accepted))
+      .field("final_cost", final_cost)
+      .field("savings",
+             initial > 0.0 ? (initial - final_cost) / initial : 0.0)
+      .field("wire_proposal_msgs", wire_stats.glauber_proposal_messages)
+      .field("wire_proposal_bytes", wire_stats.glauber_proposal_bytes)
+      .field("wire_decision_msgs", wire_stats.glauber_decision_messages)
+      .field("wire_decision_bytes", wire_stats.glauber_decision_bytes)
+      .object_field("obs",
+                    bench::obs_block(bench::glauber_decisions(timed_cfg),
+                                     before, after,
+                                     static_cast<std::uint64_t>(reps)));
+  json.add(std::move(run));
+  std::printf("glauber %ux%u %s: %.4fs, %zu proposals, %zu accepted, "
+              "cost %.0f\n",
+              servers, objects, demand, seconds, proposals, accepted,
+              final_cost);
 
-  // Determinism: a fresh run with the same seed repeats the chain exactly.
-  baselines::GlauberConfig repeat = cfg;
-  repeat.eval = baselines::EvalPath::Delta;
-  const baselines::GlauberResult again = baselines::run_glauber(p, repeat);
-  const bool deterministic = again.final_cost == timed[0].final_cost &&
-                             again.proposals == timed[0].proposals &&
-                             again.accepted == timed[0].accepted;
+  // Determinism: a fresh run with the same seed and no bus repeats the
+  // chain exactly.
+  const baselines::GlauberResult again = baselines::run_glauber(p, cfg);
+  const bool deterministic = again.final_cost == final_cost &&
+                             again.proposals == proposals &&
+                             again.accepted == accepted;
 
   // Wire accounting: one proposal up and one decision back per evaluated
   // flip, nonzero per-kind bytes (the baseline runs over the bus, not
   // beside it).
-  const bool wire_ok =
-      wire_stats.glauber_proposal_messages == timed[1].proposals &&
-      wire_stats.glauber_decision_messages == timed[1].proposals &&
-      wire_stats.glauber_proposal_bytes > 0 &&
-      wire_stats.glauber_decision_bytes > 0;
+  const bool wire_ok = wire_stats.glauber_proposal_messages == proposals &&
+                       wire_stats.glauber_decision_messages == proposals &&
+                       wire_stats.glauber_proposal_bytes > 0 &&
+                       wire_stats.glauber_decision_bytes > 0;
 
-  const bool ok = identity_ok && deterministic && wire_ok;
+  const bool ok = deterministic && wire_ok;
   bench::JsonWriter::Record check;
   check.field("benchmark", "glauber_identity_check")
       .field("servers", static_cast<std::uint64_t>(servers))
       .field("objects", static_cast<std::uint64_t>(objects))
       .field("demand", demand)
-      .field("identity_ok", identity_ok)
       .field("deterministic", deterministic)
       .field("wire_ok", wire_ok)
       .field("ok", ok);
   json.add(std::move(check));
   if (!ok) {
     std::fprintf(stderr,
-                 "FAIL: glauber %ux%u %s: identity=%d deterministic=%d "
-                 "wire=%d\n",
-                 servers, objects, demand, identity_ok ? 1 : 0,
-                 deterministic ? 1 : 0, wire_ok ? 1 : 0);
+                 "FAIL: glauber %ux%u %s: deterministic=%d wire=%d\n",
+                 servers, objects, demand, deterministic ? 1 : 0,
+                 wire_ok ? 1 : 0);
   }
   return ok;
 }
@@ -2518,8 +2448,7 @@ int write_mechanism_trajectory(const TrajectoryOptions& opts) {
                      baselines_ok;
     }
     if (opts.paper_scale) {
-      // The issue's acceptance gate: Greedy and GRA delta-vs-naive at the
-      // paper's own dimensions.  Naive oracles are slow here, so best-of-1.
+      // Greedy and GRA at the paper's own dimensions, best-of-1.
       const std::vector<std::string> gate = {"Greedy", "GRA"};
       const drp::Problem& p =
           dispersed_instance(opts.paper_servers, opts.paper_objects);
@@ -2584,9 +2513,8 @@ int write_mechanism_trajectory(const TrajectoryOptions& opts) {
         opts.mech_servers >= 256 ? kServingSpeedupFloorMech : 0.0);
   }
 
-  // Mech scale only for the three new families: the strategic audit is
-  // O(trials) mechanism runs and the Glauber/naive oracle re-prices every
-  // proposal, so paper scale would dominate the whole trajectory.
+  // Mech scale only for these families: the strategic audit is O(trials)
+  // mechanism runs, so paper scale would dominate the whole trajectory.
   bool strategic_ok = true;
   if (opts.strategic) {
     strategic_ok = run_strategic_family(
@@ -2627,7 +2555,7 @@ int write_mechanism_trajectory(const TrajectoryOptions& opts) {
   }
   if (!baselines_ok) {
     std::fprintf(stderr,
-                 "baseline delta-vs-naive policy violated (see "
+                 "baseline serial-vs-parallel policy violated (see "
                  "baseline_identity_check / baseline_parallel_check rows)\n");
     return 1;
   }

@@ -3,7 +3,7 @@
 // Two outputs (DESIGN.md §9, EXPERIMENTS.md "Reading an --obs-trace"):
 //
 //  * an `obs` block merged into each bench row: the Auto-policy decisions
-//    (ReportMode / EvalPath) with the exact inputs and thresholds that
+//    (ReportMode, the baselines' scan cutoffs) with the exact inputs and thresholds that
 //    decided them, plus — when the binary was built with -DAGTRAM_OBS=ON —
 //    the registry counter/span deltas accumulated across the row's timing
 //    loop.  The bench gate keys on a fixed field tuple, so extra blocks are
@@ -114,14 +114,12 @@ inline JsonWriter::Record mechanism_decisions(
   return record;
 }
 
-/// The baseline-side policy decisions: EvalPath plus the candidate-scan
-/// parallelisation inputs (the scan forks only when the instance clears
+/// The baseline-side policy decisions: the candidate-scan parallelisation
+/// inputs (the scan forks only when the instance clears
 /// DeltaEvaluator::kParallelMinServers).
 inline JsonWriter::Record baseline_decisions(const drp::Problem& problem,
-                                             bool delta_eval,
                                              bool parallel_scan) {
   JsonWriter::Record record;
-  record.field("eval_path", delta_eval ? "delta" : "naive");
   record.field("parallel_scan", parallel_scan);
   record.field("scan_min_servers",
                static_cast<std::uint64_t>(
@@ -220,8 +218,8 @@ inline JsonWriter::Record strategic_decisions(
   return record;
 }
 
-/// The Glauber-baseline decisions for one bench row: the annealing schedule,
-/// the pricing path, and whether the run was wired to a MessageBus.
+/// The Glauber-baseline decisions for one bench row: the annealing schedule
+/// and whether the run was wired to a MessageBus.
 inline JsonWriter::Record glauber_decisions(
     const baselines::GlauberConfig& config) {
   JsonWriter::Record record;
@@ -229,8 +227,6 @@ inline JsonWriter::Record glauber_decisions(
   record.field("initial_temperature_fraction",
                config.initial_temperature_fraction);
   record.field("cooling_rate", config.cooling_rate);
-  record.field("eval_path",
-               config.eval == baselines::EvalPath::Delta ? "delta" : "naive");
   record.field("bus_attached", config.bus != nullptr);
   return record;
 }

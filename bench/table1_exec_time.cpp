@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   cli.add_flag("obs-trace", "",
                "write per-round JSONL from an untimed Auto-mode mechanism "
                "run per cell to this path ('' disables)");
-  bench::add_baseline_eval_flag(cli);
+  bench::add_parallel_scans_flag(cli);
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
 
   const double capacity = cli.get_double("capacity");
@@ -41,8 +41,6 @@ int main(int argc, char** argv) {
     n_grid = {15000, 20000, 25000};
   }
   const baselines::AlgoOptions algo_options = bench::resolve_algo_options(cli);
-  const char* eval_name =
-      algo_options.eval == baselines::EvalPath::Naive ? "naive" : "delta";
   const auto algorithms = baselines::all_algorithms(algo_options);
 
   std::vector<std::string> headers{"problem size"};
@@ -90,17 +88,14 @@ int main(int argc, char** argv) {
             .field("servers", static_cast<std::uint64_t>(dims.servers))
             .field("objects", static_cast<std::uint64_t>(dims.objects))
             .field("algorithm", algorithm.name)
-            .field("eval", eval_name)
             .field("seconds", outcome.seconds)
             .field("savings", outcome.savings)
             .field("replicas", static_cast<std::uint64_t>(outcome.replicas))
             .object_field(
                 "obs",
                 bench::obs_block(
-                    bench::baseline_decisions(
-                        problem,
-                        algo_options.eval == baselines::EvalPath::Delta,
-                        algo_options.parallel_scans),
+                    bench::baseline_decisions(problem,
+                                              algo_options.parallel_scans),
                     obs_before, obs_after, /*runs=*/1));
         json.add(std::move(record));
       }

@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
                "exact tree strategies");
   cli.add_flag("tree-shape", "random",
                "tree shape for --tree 1: random | balanced | caterpillar");
-  bench::add_baseline_eval_flag(cli);
+  bench::add_parallel_scans_flag(cli);
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
 
   double divisor = cli.get_double("divisor");

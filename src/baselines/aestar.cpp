@@ -1,11 +1,8 @@
 #include "baselines/aestar.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
 #include <memory>
 #include <queue>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -29,29 +26,6 @@ struct Scored {
   drp::ServerId server;
   drp::ObjectIndex object;
 };
-
-/// Optimistic remaining saving: every non-local read could, at best, become
-/// free without any added broadcast cost.  Admissible by construction.
-/// Accumulated as per-object subtotals summed in object order — the same
-/// association DeltaEvaluator::optimistic_saving re-sums from its cache, so
-/// the two paths see bit-identical f values.
-double optimistic_saving(const drp::ReplicaPlacement& placement) {
-  const drp::Problem& p = placement.problem();
-  double saving = 0.0;
-  for (drp::ObjectIndex k = 0; k < p.object_count(); ++k) {
-    const double o = static_cast<double>(p.object_units[k]);
-    const auto accessors = p.access.accessors(k);
-    double s_k = 0.0;
-    for (std::size_t slot = 0; slot < accessors.size(); ++slot) {
-      const auto& a = accessors[slot];
-      if (a.reads == 0 || placement.is_replicator(a.server, k)) continue;
-      s_k += static_cast<double>(a.reads) * o *
-             static_cast<double>(placement.nn_distance_by_slot(k, slot));
-    }
-    saving += s_k;
-  }
-  return saving;
-}
 
 /// Hungriest feasible non-replicator reader of object k (r * o * nn), the
 /// cheap per-object score behind the candidate shortlist.
@@ -147,11 +121,7 @@ Move best_reader_move(const drp::ReplicaPlacement& placement,
 
 /// Exhausts all remaining positive reader-site moves with a lazy per-object
 /// max-heap (benefits only decrease, so stale tops are re-validated on pop).
-/// `State` is either a bare ReplicaPlacement (naive) or a DeltaEvaluator
-/// (delta); both expose the same benefits bit for bit, so the two paths walk
-/// identical move sequences.
-template <typename State>
-void complete_greedily(State& state) {
+void complete_greedily(drp::DeltaEvaluator& eval) {
   struct HeapEntry {
     double benefit;
     drp::ObjectIndex object;
@@ -160,56 +130,53 @@ void complete_greedily(State& state) {
       return object > other.object;
     }
   };
-  const auto best_move = [&](drp::ObjectIndex k) {
-    if constexpr (std::is_same_v<State, drp::ReplicaPlacement>) {
-      return best_reader_move(state, k);
-    } else {
-      return best_reader_move(state.placement(), k);
-    }
-  };
   std::priority_queue<HeapEntry> heap;
-  const std::size_t n = state.problem().object_count();
+  const std::size_t n = eval.problem().object_count();
   for (drp::ObjectIndex k = 0; k < n; ++k) {
-    const Move move = best_move(k);
+    const Move move = best_reader_move(eval.placement(), k);
     if (move.benefit > 0.0) heap.push(HeapEntry{move.benefit, k});
   }
   while (!heap.empty()) {
     const HeapEntry top = heap.top();
     heap.pop();
-    const Move fresh = best_move(top.object);
+    const Move fresh = best_reader_move(eval.placement(), top.object);
     if (fresh.benefit <= 0.0) continue;
     if (!heap.empty() && fresh.benefit < heap.top().benefit) {
       heap.push(HeapEntry{fresh.benefit, top.object});
       continue;
     }
-    state.add_replica(fresh.server, fresh.object);
-    const Move next = best_move(top.object);
+    eval.add_replica(fresh.server, fresh.object);
+    const Move next = best_reader_move(eval.placement(), top.object);
     if (next.benefit > 0.0) heap.push(HeapEntry{next.benefit, top.object});
   }
 }
 
 struct Node {
-  drp::ReplicaPlacement placement;
+  drp::DeltaEvaluator eval;
   double g;  ///< current OTC
   double f;  ///< g - optimistic_saving  (lower bound on reachable OTC)
 };
 
-struct DeltaNode {
-  drp::DeltaEvaluator eval;
-  double g;
-  double f;
-};
+/// Polishes a node with the exhaustive reader-site greedy pass; returns the
+/// completed placement and its cost.
+std::pair<drp::ReplicaPlacement, double> complete_leaf(const Node& node) {
+  drp::DeltaEvaluator leaf = node.eval;
+  complete_greedily(leaf);
+  const double leaf_cost = leaf.total();
+  return {std::move(leaf).take_placement(), leaf_cost};
+}
 
-/// Shared Aε-Star search loop.  `NodeT` carries the placement state; the
-/// accessor lambdas bridge the naive/delta representations so the FOCAL
-/// selection, pruning and eviction logic is written once.
-template <typename NodeT, typename MakeRoot, typename Expand, typename Leaf,
-          typename MakeChild>
-drp::ReplicaPlacement search(const AeStarConfig& config, MakeRoot make_root,
-                             Expand expand, Leaf handle_leaf,
-                             MakeChild make_child) {
-  std::vector<std::unique_ptr<NodeT>> open;
-  open.push_back(make_root());
+}  // namespace
+
+drp::ReplicaPlacement run_aestar(const drp::Problem& problem,
+                                 const AeStarConfig& config) {
+  std::vector<std::unique_ptr<Node>> open;
+  {
+    drp::DeltaEvaluator root{drp::ReplicaPlacement(problem)};
+    const double root_cost = root.total();
+    const double f = root_cost - root.optimistic_saving();
+    open.push_back(std::make_unique<Node>(Node{std::move(root), root_cost, f}));
+  }
   const double root_cost = open.front()->g;
 
   // Incumbent: best complete (move-exhausted) solution seen so far.
@@ -218,7 +185,7 @@ drp::ReplicaPlacement search(const AeStarConfig& config, MakeRoot make_root,
 
   std::size_t expansions = 0;
   // Best partial node by g, used for greedy completion at budget exhaustion.
-  auto best_partial = std::make_unique<NodeT>(*open.front());
+  auto best_partial = std::make_unique<Node>(*open.front());
   double best_partial_cost = root_cost;
 
   while (!open.empty() && expansions < config.max_expansions) {
@@ -235,18 +202,19 @@ drp::ReplicaPlacement search(const AeStarConfig& config, MakeRoot make_root,
       if (open[i]->f <= focal_bound && open[i]->g < open[pick]->g) pick = i;
     }
 
-    std::unique_ptr<NodeT> node = std::move(open[pick]);
+    std::unique_ptr<Node> node = std::move(open[pick]);
     open.erase(open.begin() + static_cast<std::ptrdiff_t>(pick));
     ++expansions;
 
     // Bound: a node that cannot beat the incumbent is pruned.
     if (incumbent && node->f >= incumbent_cost) continue;
 
-    const std::vector<Move> moves = expand(*node);
+    const std::vector<Move> moves = candidate_moves(
+        node->eval.placement(), config.branching, config.parallel_scan);
     if (moves.empty()) {
       // The shortlist dried up: polish with the exhaustive reader-site
       // greedy pass before scoring the leaf as an incumbent.
-      auto [leaf, leaf_cost] = handle_leaf(*node);
+      auto [leaf, leaf_cost] = complete_leaf(*node);
       if (!incumbent || leaf_cost < incumbent_cost) {
         incumbent_cost = leaf_cost;
         incumbent = std::make_unique<drp::ReplicaPlacement>(std::move(leaf));
@@ -254,11 +222,14 @@ drp::ReplicaPlacement search(const AeStarConfig& config, MakeRoot make_root,
       continue;
     }
     for (const Move& move : moves) {
-      std::unique_ptr<NodeT> child = make_child(*node, move);
+      auto child = std::make_unique<Node>(*node);
+      child->eval.add_replica(move.server, move.object);
+      child->g = node->g - move.benefit;
+      child->f = child->g - child->eval.optimistic_saving();
       if (incumbent && child->f >= incumbent_cost) continue;
       if (child->g < best_partial_cost) {
         best_partial_cost = child->g;
-        best_partial = std::make_unique<NodeT>(*child);
+        best_partial = std::make_unique<Node>(*child);
       }
       open.push_back(std::move(child));
     }
@@ -274,80 +245,11 @@ drp::ReplicaPlacement search(const AeStarConfig& config, MakeRoot make_root,
     return std::move(*incumbent);
   }
   // Budget exhausted on a promising partial: complete it greedily.
-  auto [completed, completed_cost] = handle_leaf(*best_partial);
+  auto [completed, completed_cost] = complete_leaf(*best_partial);
   if (incumbent && incumbent_cost < completed_cost) {
     return std::move(*incumbent);
   }
   return completed;
-}
-
-drp::ReplicaPlacement run_aestar_naive(const drp::Problem& problem,
-                                       const AeStarConfig& config) {
-  return search<Node>(
-      config,
-      [&] {
-        drp::ReplicaPlacement root(problem);
-        const double root_cost = drp::CostModel::total_cost(root);
-        return std::make_unique<Node>(
-            Node{root, root_cost, root_cost - optimistic_saving(root)});
-      },
-      [&](const Node& node) {
-        return candidate_moves(node.placement, config.branching,
-                               /*parallel=*/false);
-      },
-      [&](const Node& node) {
-        drp::ReplicaPlacement leaf = node.placement;
-        complete_greedily(leaf);
-        const double leaf_cost = drp::CostModel::total_cost(leaf);
-        return std::pair(std::move(leaf), leaf_cost);
-      },
-      [&](const Node& node, const Move& move) {
-        auto child = std::make_unique<Node>(node);
-        child->placement.add_replica(move.server, move.object);
-        child->g = node.g - move.benefit;
-        child->f = child->g - optimistic_saving(child->placement);
-        return child;
-      });
-}
-
-drp::ReplicaPlacement run_aestar_delta(const drp::Problem& problem,
-                                       const AeStarConfig& config) {
-  return search<DeltaNode>(
-      config,
-      [&] {
-        drp::DeltaEvaluator eval{drp::ReplicaPlacement(problem)};
-        const double root_cost = eval.total();
-        const double f = root_cost - eval.optimistic_saving();
-        return std::make_unique<DeltaNode>(
-            DeltaNode{std::move(eval), root_cost, f});
-      },
-      [&](const DeltaNode& node) {
-        return candidate_moves(node.eval.placement(), config.branching,
-                               config.parallel_scan);
-      },
-      [&](const DeltaNode& node) {
-        drp::DeltaEvaluator leaf = node.eval;
-        complete_greedily(leaf);
-        const double leaf_cost = leaf.total();
-        return std::pair(std::move(leaf).take_placement(), leaf_cost);
-      },
-      [&](const DeltaNode& node, const Move& move) {
-        auto child = std::make_unique<DeltaNode>(node);
-        child->eval.add_replica(move.server, move.object);
-        child->g = node.g - move.benefit;
-        child->f = child->g - child->eval.optimistic_saving();
-        return child;
-      });
-}
-
-}  // namespace
-
-drp::ReplicaPlacement run_aestar(const drp::Problem& problem,
-                                 const AeStarConfig& config) {
-  if (config.eval == EvalPath::Naive) {
-    return run_aestar_naive(problem, config);
-  }
-  return run_aestar_delta(problem, config);
 }
 
 }  // namespace agtram::baselines

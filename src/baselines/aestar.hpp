@@ -10,7 +10,9 @@
 // global-benefit moves.  The ε-relaxation (the "Aε" of the name) prunes any
 // node whose f exceeds (1+ε) times the best f seen, trading optimality for
 // tractability exactly as the original technique does; a hard expansion
-// budget bounds the worst case.
+// budget bounds the worst case.  Nodes carry a drp::DeltaEvaluator, so a
+// child's h is an O(N) re-sum of cached per-object savings rather than a
+// full accessor sweep.
 //
 // With the defaults this lands where the paper puts it: solution quality in
 // the Greedy neighbourhood, execution time well above Greedy/AGT-RAM.
@@ -18,7 +20,6 @@
 
 #include <cstdint>
 
-#include "baselines/eval_path.hpp"
 #include "drp/placement.hpp"
 #include "drp/problem.hpp"
 
@@ -34,11 +35,8 @@ struct AeStarConfig {
   std::size_t max_expansions = 150;
   /// Open-list size cap (worst nodes evicted).
   std::size_t max_open = 256;
-  /// Delta: nodes carry a drp::DeltaEvaluator, so each child's h bound is an
-  /// O(N) re-sum of cached per-object savings instead of a full accessor
-  /// sweep, and leaf costs come from the cache.  Naive: full recomputation.
-  EvalPath eval = EvalPath::Delta;
-  /// Delta path only: parallelise the per-object candidate shortlist scan.
+  /// Parallelise the per-object candidate shortlist scan (identical moves
+  /// either way).
   bool parallel_scan = true;
 };
 

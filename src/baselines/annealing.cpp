@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <vector>
 
 #include "baselines/selfish_caching.hpp"
 #include "common/prng.hpp"
 #include "common/thread_pool.hpp"
-#include "drp/cost_model.hpp"
 #include "drp/delta_evaluator.hpp"
 #include "obs/obs.hpp"
 
@@ -98,44 +96,6 @@ double delta_of(const drp::DeltaEvaluator& eval, const MoveSpec& spec) {
   return 0.0;
 }
 
-/// Naive oracle pricing: apply, measure, leave applied (the caller keeps the
-/// mutation on accept and undoes on reject).
-double measure_applied(drp::ReplicaPlacement& placement, const MoveSpec& spec) {
-  const double before = drp::CostModel::object_cost(placement, spec.object);
-  switch (spec.kind) {
-    case MoveSpec::Kind::Add:
-      placement.add_replica(spec.a, spec.object);
-      break;
-    case MoveSpec::Kind::Drop:
-      placement.remove_replica(spec.a, spec.object);
-      break;
-    case MoveSpec::Kind::Swap:
-      placement.remove_replica(spec.a, spec.object);
-      placement.add_replica(spec.b, spec.object);
-      break;
-    case MoveSpec::Kind::None:
-      break;
-  }
-  return drp::CostModel::object_cost(placement, spec.object) - before;
-}
-
-void undo(drp::ReplicaPlacement& placement, const MoveSpec& spec) {
-  switch (spec.kind) {
-    case MoveSpec::Kind::Add:
-      placement.remove_replica(spec.a, spec.object);
-      break;
-    case MoveSpec::Kind::Drop:
-      placement.add_replica(spec.a, spec.object);
-      break;
-    case MoveSpec::Kind::Swap:
-      placement.remove_replica(spec.b, spec.object);
-      placement.add_replica(spec.a, spec.object);
-      break;
-    case MoveSpec::Kind::None:
-      break;
-  }
-}
-
 void apply(drp::DeltaEvaluator& eval, const MoveSpec& spec) {
   switch (spec.kind) {
     case MoveSpec::Kind::Add:
@@ -166,28 +126,15 @@ drp::ReplicaPlacement run_annealing(const drp::Problem& problem,
     return drp::ReplicaPlacement(problem);
   }();
 
-  const bool use_delta = config.eval == EvalPath::Delta;
-  std::optional<drp::DeltaEvaluator> eval;
-  drp::ReplicaPlacement placement(problem);
-  if (use_delta) {
-    eval.emplace(std::move(start));
-  } else {
-    placement = std::move(start);
-  }
-  const auto current = [&]() -> const drp::ReplicaPlacement& {
-    return use_delta ? eval->placement() : placement;
-  };
-
-  double current_cost =
-      use_delta ? eval->total() : drp::CostModel::total_cost(placement);
-  drp::ReplicaPlacement best = current();
+  drp::DeltaEvaluator eval(std::move(start));
+  double current_cost = eval.total();
+  drp::ReplicaPlacement best = eval.placement();
   double best_cost = current_cost;
 
   double temperature = current_cost * config.initial_temperature_fraction;
   const double floor_temperature = temperature * 1e-6 + 1e-12;
 
-  const std::size_t batch = use_delta ? std::max<std::size_t>(1, config.batch)
-                                      : 1;
+  const std::size_t batch = std::max<std::size_t>(1, config.batch);
   std::vector<MoveSpec> specs;
   std::vector<double> deltas;
   specs.reserve(batch);
@@ -200,28 +147,26 @@ drp::ReplicaPlacement run_annealing(const drp::Problem& problem,
     specs.clear();
     std::size_t work = 0;
     for (std::size_t j = batch_start; j < batch_end; ++j) {
-      specs.push_back(draw_spec(problem, current(), config.seed, j));
+      specs.push_back(draw_spec(problem, eval.placement(), config.seed, j));
       if (specs.back().kind != MoveSpec::Kind::None) {
         work += problem.access.accessors(specs.back().object).size();
       }
     }
-    if (use_delta) {
-      // Every spec was drawn against — and is priced against — the same
-      // placement, so the batch evaluates read-only in parallel; after an
-      // accepted move the remaining (now stale) tail is thrown away below.
-      deltas.assign(specs.size(), 0.0);
-      const auto price = [&](std::size_t first, std::size_t last) {
-        for (std::size_t s = first; s < last; ++s) {
-          deltas[s] = delta_of(*eval, specs[s]);
-        }
-      };
-      if (config.parallel_scan && specs.size() > 1 &&
-          work >= config.parallel_min_work) {
-        common::ThreadPool::shared().parallel_for(0, specs.size(), price,
-                                                  /*min_grain=*/1);
-      } else {
-        price(0, specs.size());
+    // Every spec was drawn against — and is priced against — the same
+    // placement, so the batch evaluates read-only in parallel; after an
+    // accepted move the remaining (now stale) tail is thrown away below.
+    deltas.assign(specs.size(), 0.0);
+    const auto price = [&](std::size_t first, std::size_t last) {
+      for (std::size_t s = first; s < last; ++s) {
+        deltas[s] = delta_of(eval, specs[s]);
       }
+    };
+    if (config.parallel_scan && specs.size() > 1 &&
+        work >= config.parallel_min_work) {
+      common::ThreadPool::shared().parallel_for(0, specs.size(), price,
+                                                /*min_grain=*/1);
+    } else {
+      price(0, specs.size());
     }
 
     bool accepted_in_batch = false;
@@ -229,23 +174,20 @@ drp::ReplicaPlacement run_annealing(const drp::Problem& problem,
       MoveSpec& spec = specs[j - batch_start];
       AGTRAM_OBS_COUNT("sa.proposals", 1);
       if (spec.kind != MoveSpec::Kind::None) {
-        const double delta = use_delta ? deltas[j - batch_start]
-                                       : measure_applied(placement, spec);
+        const double delta = deltas[j - batch_start];
         const bool accept =
             delta < 0.0 ||
             (temperature > floor_temperature &&
              spec.accept_rng.uniform() < std::exp(-delta / temperature));
         if (accept) {
           AGTRAM_OBS_COUNT("sa.accepted", 1);
-          if (use_delta) apply(*eval, spec);
+          apply(eval, spec);
           current_cost += delta;
           if (current_cost < best_cost) {
             best_cost = current_cost;
-            best = current();
+            best = eval.placement();
           }
           accepted_in_batch = true;
-        } else if (!use_delta) {
-          undo(placement, spec);
         }
       }
       if ((j + 1) % config.cooling_interval == 0) {

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 
-#include "baselines/eval_path.hpp"
 #include "drp/placement.hpp"
 #include "drp/problem.hpp"
 
@@ -19,9 +18,8 @@ namespace agtram::baselines {
 // Proposals are drawn from per-proposal rng streams (stream j is seeded from
 // `seed` and j alone), so proposal j's moves and acceptance draw do not
 // depend on how many proposals came before it in the same batch.  That makes
-// the trajectory independent of the speculative batch size — delta batches
-// of any size, the naive path, and any proposal budget all walk the same
-// accepted prefix.
+// the trajectory independent of the speculative batch size — batches of any
+// size and any proposal budget all walk the same accepted prefix.
 struct AnnealingConfig {
   std::uint64_t seed = 1;
   std::size_t proposals = 30000;
@@ -34,15 +32,13 @@ struct AnnealingConfig {
   /// Geometric cooling applied every `cooling_interval` proposals.
   double cooling_rate = 0.95;
   std::size_t cooling_interval = 500;
-  /// Delta: proposal deltas priced read-only through drp::DeltaEvaluator in
-  /// speculative batches (the tail after an accepted move is discarded, so
-  /// every consumed proposal saw the placement it was drawn against).
-  /// Naive: one mutate-measure-undo evaluation per proposal.
-  EvalPath eval = EvalPath::Delta;
-  /// Speculative batch size for the delta path (1 = no speculation).
+  /// Proposal deltas are priced read-only through drp::DeltaEvaluator in
+  /// speculative batches of this size (1 = no speculation); the tail after
+  /// an accepted move is discarded, so every consumed proposal saw the
+  /// placement it was drawn against.
   std::size_t batch = 32;
-  /// Delta path only: price a batch's proposals in parallel when the
-  /// batch touches enough demand cells to amortise the pool fork.
+  /// Price a batch's proposals in parallel when the batch touches enough
+  /// demand cells to amortise the pool fork.
   bool parallel_scan = true;
   std::size_t parallel_min_work = 4096;
 };

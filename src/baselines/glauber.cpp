@@ -1,7 +1,6 @@
 #include "baselines/glauber.hpp"
 
 #include <cmath>
-#include <optional>
 #include <utility>
 
 #include "common/prng.hpp"
@@ -14,7 +13,6 @@ namespace agtram::baselines {
 GlauberResult run_glauber(const drp::Problem& problem,
                           const GlauberConfig& config) {
   AGTRAM_OBS_SPAN("glauber.run");
-  const bool delta_path = config.eval == EvalPath::Delta;
   common::Rng rng(config.seed);
 
   // Heat-bath temperature anchored to the primaries-only OTC, like SA's
@@ -24,16 +22,8 @@ GlauberResult run_glauber(const drp::Problem& problem,
                    drp::CostModel::initial_cost(problem),
                1e-12);
 
-  std::optional<drp::DeltaEvaluator> evaluator;
-  std::optional<drp::ReplicaPlacement> naive;
-  if (delta_path) {
-    evaluator.emplace(drp::ReplicaPlacement(problem));
-  } else {
-    naive.emplace(problem);
-  }
-  const auto& placement = [&]() -> const drp::ReplicaPlacement& {
-    return delta_path ? evaluator->placement() : *naive;
-  };
+  drp::DeltaEvaluator evaluator{drp::ReplicaPlacement(problem)};
+  const drp::ReplicaPlacement& placement = evaluator.placement();
 
   GlauberResult result{drp::ReplicaPlacement(problem), 0.0, 0, 0, 0};
   const std::size_t m = problem.server_count();
@@ -51,52 +41,27 @@ GlauberResult run_glauber(const drp::Problem& problem,
       // placement model forbids (primary drop, no capacity) are withheld
       // locally and never reach the wire.
       bool drop = false;
-      if (placement().is_replicator(i, k)) {
+      if (placement.is_replicator(i, k)) {
         if (problem.primary[k] == i) continue;
         drop = true;
-      } else if (!placement().can_replicate(i, k)) {
+      } else if (!placement.can_replicate(i, k)) {
         continue;
       }
 
-      // Local pricing: the exact OTC delta of the flip.  The naive oracle
-      // measures mutate-undo around a real mutation; DeltaEvaluator's core
-      // invariant is that its read-only delta carries the same bits.
-      double delta = 0.0;
-      if (delta_path) {
-        delta = drop ? evaluator->delta_of_drop(i, k)
-                     : evaluator->delta_of_add(i, k);
-      } else {
-        const double before = drp::CostModel::object_cost(*naive, k);
-        if (drop) {
-          naive->remove_replica(i, k);
-        } else {
-          naive->add_replica(i, k);
-        }
-        delta = drp::CostModel::object_cost(*naive, k) - before;
-        if (drop) {
-          naive->add_replica(i, k);
-        } else {
-          naive->remove_replica(i, k);
-        }
-      }
+      // Local pricing: the exact OTC delta of the flip, read-only — the
+      // same bits a mutate-measure-undo around a real flip would produce.
+      const double delta = drop ? evaluator.delta_of_drop(i, k)
+                                : evaluator.delta_of_add(i, k);
 
       ++sweep_proposals;
       const double accept_probability =
           1.0 / (1.0 + std::exp(delta / temperature));
       if (rng.uniform() < accept_probability) {
         ++result.accepted;
-        if (delta_path) {
-          if (drop) {
-            evaluator->remove_replica(i, k);
-          } else {
-            evaluator->add_replica(i, k);
-          }
+        if (drop) {
+          evaluator.remove_replica(i, k);
         } else {
-          if (drop) {
-            naive->remove_replica(i, k);
-          } else {
-            naive->add_replica(i, k);
-          }
+          evaluator.add_replica(i, k);
         }
       }
     }
@@ -114,10 +79,8 @@ GlauberResult run_glauber(const drp::Problem& problem,
 
   AGTRAM_OBS_COUNT("glauber.proposals", result.proposals);
   AGTRAM_OBS_COUNT("glauber.accepted", result.accepted);
-  result.final_cost = delta_path ? evaluator->total()
-                                 : drp::CostModel::total_cost(*naive);
-  result.placement = delta_path ? std::move(*evaluator).take_placement()
-                                : std::move(*naive);
+  result.final_cost = evaluator.total();
+  result.placement = std::move(evaluator).take_placement();
   return result;
 }
 

@@ -19,16 +19,14 @@
 // way the mechanism's report/broadcast traffic is.
 //
 // Determinism: a single common::Rng stream drawn in (sweep, server id)
-// order; identical seeds give identical trajectories.  EvalPath::Naive
-// replaces the DeltaEvaluator pricing with mutate-measure-undo full
-// re-evaluation — the deltas are bit-identical (DeltaEvaluator's core
-// invariant), so the naive oracle walks the exact same accept/reject
-// sequence and lands on the exact same placement (tests assert this).
+// order; identical seeds give identical trajectories.  The chain a
+// mutate-measure-undo full re-evaluation walks (bit-identical deltas, hence
+// the same accept/reject sequence) is pinned as a golden in
+// tests/glauber_test.cpp.
 #pragma once
 
 #include <cstdint>
 
-#include "baselines/eval_path.hpp"
 #include "drp/placement.hpp"
 #include "drp/problem.hpp"
 #include "runtime/message_bus.hpp"
@@ -43,10 +41,6 @@ struct GlauberConfig {
   double initial_temperature_fraction = 2e-5;
   /// Geometric cooling applied every sweep.
   double cooling_rate = 0.85;
-  /// Delta: flips priced read-only by drp::DeltaEvaluator.  Naive: one
-  /// mutate-measure-undo full evaluation per proposal (the differential
-  /// oracle; bit-identical trajectory).
-  EvalPath eval = EvalPath::Delta;
   /// Optional wire accounting; proposals/decisions are charged per sweep.
   runtime::MessageBus* bus = nullptr;
 };

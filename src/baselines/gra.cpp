@@ -104,10 +104,11 @@ struct GraScratch {
 /// server-sorted) genome rows, prices touched objects through
 /// object_cost_with_replicators and untouched ones from the precomputed
 /// primaries-only `base`, then re-sums in object order — the association
-/// total_cost uses, so the result is bit-identical to the naive path.
-/// Rows that violate the genome invariants (sorted, duplicate-free, no
-/// primaries, within headroom — guaranteed post-repair) fall back to the
-/// naive materialise, whose can_replicate guard defines the semantics.
+/// total_cost uses, so the result is bit-identical to materialise +
+/// total_cost.  Rows that violate the genome invariants (sorted,
+/// duplicate-free, no primaries, within headroom — guaranteed post-repair)
+/// fall back to that materialise, whose can_replicate guard defines the
+/// semantics.
 double delta_fitness(const drp::Problem& p, const Genome& g,
                      const std::vector<double>& base,
                      const std::vector<std::uint64_t>& headroom,
@@ -312,11 +313,8 @@ drp::ReplicaPlacement run_gra(const drp::Problem& problem,
   }
   // Primaries-only per-object costs: the delta fitness prices every object a
   // genome does not touch straight from this table.
-  std::vector<double> base;
-  if (config.eval == EvalPath::Delta) {
-    base.resize(problem.object_count());
-    drp::CostModel::object_costs(drp::ReplicaPlacement(problem), base);
-  }
+  std::vector<double> base(problem.object_count());
+  drp::CostModel::object_costs(drp::ReplicaPlacement(problem), base);
 
   // Scratches persist across generations (checked out per scoring chunk, so
   // concurrent chunks never share one): the per-object memo they carry is
@@ -328,12 +326,6 @@ drp::ReplicaPlacement run_gra(const drp::Problem& problem,
   /// Scores population[from..) into scores[from..); entries below `from`
   /// (elites) keep their carried-over values.
   const auto score_range = [&](std::size_t from) {
-    if (config.eval == EvalPath::Naive) {
-      for (std::size_t i = from; i < population.size(); ++i) {
-        scores[i] = fitness(problem, population[i]);
-      }
-      return;
-    }
     const auto body = [&](std::size_t first, std::size_t last) {
       std::unique_ptr<GraScratch> scratch;
       {
@@ -419,16 +411,11 @@ drp::ReplicaPlacement run_gra(const drp::Problem& problem,
 
     population = std::move(next);
     // Elites carry their scores (fitness is pure, so the cached value is
-    // bitwise the recomputation); the naive oracle rescoring everything from
-    // 0 would produce the same doubles.
-    std::size_t rescore_from = 0;
-    if (config.eval == EvalPath::Delta) {
-      for (std::size_t e = 0; e < elite_scores.size(); ++e) {
-        scores[e] = elite_scores[e];
-      }
-      rescore_from = elite_scores.size();
+    // bitwise the recomputation).
+    for (std::size_t e = 0; e < elite_scores.size(); ++e) {
+      scores[e] = elite_scores[e];
     }
-    score_range(rescore_from);
+    score_range(elite_scores.size());
     for (std::size_t i = 0; i < population.size(); ++i) {
       if (scores[i] < best_score) {
         best_score = scores[i];

@@ -13,11 +13,14 @@
 // "localized network perception" (row-level recombination never reasons
 // about global read routing), so it trails the other methods — while paying
 // population x generations full-cost evaluations, making it the slowest.
+// Fitness is priced straight off the chromosome rows (per-object replicator
+// sets through object_cost_with_replicators, untouched objects from the
+// primaries-only base) without materialising a placement, and elites keep
+// their scores across generations.
 #pragma once
 
 #include <cstdint>
 
-#include "baselines/eval_path.hpp"
 #include "drp/placement.hpp"
 #include "drp/problem.hpp"
 
@@ -34,13 +37,8 @@ struct GraConfig {
   double init_fill = 0.2;
   std::uint32_t elites = 2;
   std::uint64_t seed = 1;
-  /// Delta: genome fitness evaluated straight off the chromosome rows
-  /// (object_cost_with_replicators over the per-object replicator sets,
-  /// untouched objects priced from the precomputed primaries-only base) —
-  /// no placement materialisation, elites keep their scores.  Naive: the
-  /// original materialise + total_cost per genome.  Same bits either way.
-  EvalPath eval = EvalPath::Delta;
-  /// Delta path only: fan population scoring out over the shared pool.
+  /// Fan population scoring out over the shared pool (identical scores
+  /// either way).
   bool parallel_scan = true;
 };
 

@@ -12,12 +12,14 @@
 // Implementation: a lazy max-heap keyed by object.  Placing a replica of k
 // only changes k's own candidate values (NN distances of k's accessors) and
 // the chosen server's free capacity; both changes are monotone decreases,
-// so stale heap entries are safely re-validated on pop.
+// so stale heap entries are safely re-validated on pop.  Every candidate
+// scan is drp::DeltaEvaluator::best_add_for_object, the loop-swapped row
+// walk whose benefits equal CostModel::global_benefit bit for bit.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
-#include "baselines/eval_path.hpp"
 #include "drp/placement.hpp"
 #include "drp/problem.hpp"
 
@@ -27,17 +29,14 @@ struct GreedyConfig {
   /// Stop after this many placements (0 = run to exhaustion).
   std::size_t max_replicas = 0;
   /// Optional site mask: replicas may only be placed on servers whose
-  /// entry is true (size M).  Used e.g. for global-view repair after a
-  /// regional outage, where the dead region's servers cannot host.
+  /// entry is true (size M; any other size throws std::invalid_argument).
+  /// Used e.g. for global-view repair after a regional outage, where the
+  /// dead region's servers cannot host.
   const std::vector<bool>* allowed_sites = nullptr;
-  /// Delta: loop-swapped candidate scans through drp::DeltaEvaluator
-  /// (byte-identical placements, ~order-of-magnitude faster at paper
-  /// scale).  Naive: the original per-server global_benefit rescan.
-  EvalPath eval = EvalPath::Delta;
-  /// Parallelise the delta path's scans on the shared pool: the initial
-  /// heap build fans out over objects, each re-validation scan over
-  /// servers.  Round-size-aware cutoffs keep small instances inline, so
-  /// parallel never loses to serial.  Ignored by the naive path.
+  /// Parallelise the candidate scans on the shared pool: the initial heap
+  /// build fans out over objects, each re-validation scan over servers.
+  /// Round-size-aware cutoffs keep small instances inline, so parallel
+  /// never loses to serial.  Placements are identical either way.
   bool parallel_scan = true;
 };
 

@@ -4,7 +4,6 @@
 
 #include "baselines/selfish_caching.hpp"
 #include "common/prng.hpp"
-#include "drp/cost_model.hpp"
 #include "drp/delta_evaluator.hpp"
 #include "obs/obs.hpp"
 
@@ -15,60 +14,13 @@ using common::Rng;
 namespace {
 
 /// A proposal only ever touches one object, so acceptance is decided on
-/// that object's cost contribution alone.  Naive oracle: mutate, measure,
-/// roll back on rejection.
-struct NaiveMoveEvaluator {
-  const drp::Problem& p;
-  drp::ReplicaPlacement& placement;
-
-  const drp::ReplicaPlacement& current() const { return placement; }
-
-  bool try_add(drp::ServerId i, drp::ObjectIndex k) {
-    if (!placement.can_replicate(i, k)) return false;
-    const double before = drp::CostModel::object_cost(placement, k);
-    placement.add_replica(i, k);
-    if (drp::CostModel::object_cost(placement, k) < before) return true;
-    placement.remove_replica(i, k);
-    return false;
-  }
-
-  bool try_drop(drp::ServerId i, drp::ObjectIndex k) {
-    if (i == p.primary[k] || !placement.is_replicator(i, k)) return false;
-    const double before = drp::CostModel::object_cost(placement, k);
-    placement.remove_replica(i, k);
-    if (drp::CostModel::object_cost(placement, k) < before) return true;
-    placement.add_replica(i, k);
-    return false;
-  }
-
-  bool try_swap(drp::ServerId from, drp::ServerId to, drp::ObjectIndex k) {
-    if (from == to || from == p.primary[k]) return false;
-    if (!placement.is_replicator(from, k)) return false;
-    if (placement.is_replicator(to, k)) return false;
-    const double before = drp::CostModel::object_cost(placement, k);
-    placement.remove_replica(from, k);
-    if (!placement.can_replicate(to, k)) {  // capacity at the target
-      placement.add_replica(from, k);
-      return false;
-    }
-    placement.add_replica(to, k);
-    if (drp::CostModel::object_cost(placement, k) < before) return true;
-    placement.remove_replica(to, k);
-    placement.add_replica(from, k);
-    return false;
-  }
-};
-
-/// Delta twin: prices every proposal read-only against the evaluator's
-/// cached object cost and mutates only on acceptance.  The hypothetical
-/// costs are bit-identical to the naive post-mutation measurements
-/// (DESIGN.md §8), so accept/reject decisions — and hence the rng-driven
-/// trajectory — match the oracle exactly.
-struct DeltaMoveEvaluator {
+/// that object's cost contribution alone: each move is priced read-only
+/// against the evaluator's cached object cost and applied only on
+/// acceptance.  The hypothetical costs are bit-identical to measuring
+/// around a real mutation (DESIGN.md §8).
+struct MoveEvaluator {
   const drp::Problem& p;
   drp::DeltaEvaluator& eval;
-
-  const drp::ReplicaPlacement& current() const { return eval.placement(); }
 
   bool try_add(drp::ServerId i, drp::ObjectIndex k) {
     if (!eval.can_replicate(i, k)) return false;
@@ -91,7 +43,7 @@ struct DeltaMoveEvaluator {
     if (!eval.placement().is_replicator(from, k)) return false;
     if (eval.placement().is_replicator(to, k)) return false;
     // Capacity at the target is unaffected by dropping `from`, so the plain
-    // can_replicate test equals the naive drop-then-check sequence.
+    // can_replicate test equals a drop-then-check sequence.
     if (!eval.can_replicate(to, k)) return false;
     if (!(eval.cost_if_swapped(from, to, k) < eval.object_cost(k))) {
       return false;
@@ -111,11 +63,8 @@ drp::ServerId random_reader_or_any(const drp::Problem& p, drp::ObjectIndex k,
   return static_cast<drp::ServerId>(rng.below(p.server_count()));
 }
 
-/// The proposal loop, shared verbatim by both evaluators so the rng stream
-/// cannot diverge between paths.
-template <typename Evaluator>
 void propose_loop(const drp::Problem& problem, const LocalSearchConfig& config,
-                  Evaluator& evaluator, Rng& rng) {
+                  MoveEvaluator& evaluator, Rng& rng) {
   std::size_t quiet = 0;
   for (std::size_t proposal = 0;
        proposal < config.max_proposals && quiet < config.quiet_streak;
@@ -128,12 +77,12 @@ void propose_loop(const drp::Problem& problem, const LocalSearchConfig& config,
         accepted = evaluator.try_add(random_reader_or_any(problem, k, rng), k);
         break;
       case 1: {
-        const auto reps = evaluator.current().replicators(k);
+        const auto reps = evaluator.eval.placement().replicators(k);
         accepted = evaluator.try_drop(reps[rng.below(reps.size())], k);
         break;
       }
       default: {
-        const auto reps = evaluator.current().replicators(k);
+        const auto reps = evaluator.eval.placement().replicators(k);
         accepted = evaluator.try_swap(reps[rng.below(reps.size())],
                                       random_reader_or_any(problem, k, rng), k);
         break;
@@ -153,16 +102,8 @@ drp::ReplicaPlacement run_local_search(const drp::Problem& problem,
   // Seed from the selfish equilibrium — cheap and already decent.
   SelfishCachingConfig seed_cfg;
   seed_cfg.seed = config.seed ^ 0xdecaf;
-  drp::ReplicaPlacement placement =
-      run_selfish_caching(problem, seed_cfg).placement;
-
-  if (config.eval == EvalPath::Naive) {
-    NaiveMoveEvaluator evaluator{problem, placement};
-    propose_loop(problem, config, evaluator, rng);
-    return placement;
-  }
-  drp::DeltaEvaluator eval(std::move(placement));
-  DeltaMoveEvaluator evaluator{problem, eval};
+  drp::DeltaEvaluator eval(run_selfish_caching(problem, seed_cfg).placement);
+  MoveEvaluator evaluator{problem, eval};
   propose_loop(problem, config, evaluator, rng);
   return std::move(eval).take_placement();
 }

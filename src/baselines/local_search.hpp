@@ -7,12 +7,13 @@
 // servers; a move is accepted iff it strictly lowers the global OTC.  The
 // search starts from the selfish-caching equilibrium (a good, cheap seed)
 // and runs randomised move proposals until a proposal budget is exhausted
-// or a full quiet streak proves local optimality.
+// or a full quiet streak proves local optimality.  Proposals are priced
+// read-only through drp::DeltaEvaluator; the placement is only mutated on
+// acceptance.
 #pragma once
 
 #include <cstdint>
 
-#include "baselines/eval_path.hpp"
 #include "drp/placement.hpp"
 #include "drp/problem.hpp"
 
@@ -24,10 +25,6 @@ struct LocalSearchConfig {
   std::size_t max_proposals = 20000;
   /// Stop early after this many consecutive rejected proposals.
   std::size_t quiet_streak = 2000;
-  /// Delta: proposals priced read-only through drp::DeltaEvaluator (the
-  /// placement is only mutated on acceptance).  Naive: the original
-  /// mutate-measure-rollback loop.  Same rng stream, same bits either way.
-  EvalPath eval = EvalPath::Delta;
 };
 
 drp::ReplicaPlacement run_local_search(const drp::Problem& problem,

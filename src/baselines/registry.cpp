@@ -19,7 +19,6 @@ std::vector<AlgorithmEntry> all_algorithms(const AlgoOptions& options) {
   algorithms.push_back(AlgorithmEntry{
       "Greedy", [options](const drp::Problem& p, std::uint64_t) {
         GreedyConfig cfg;
-        cfg.eval = options.eval;
         cfg.parallel_scan = options.parallel_scans;
         return run_greedy(p, cfg);
       }});
@@ -27,14 +26,12 @@ std::vector<AlgorithmEntry> all_algorithms(const AlgoOptions& options) {
       "GRA", [options](const drp::Problem& p, std::uint64_t seed) {
         GraConfig cfg;
         cfg.seed = seed;
-        cfg.eval = options.eval;
         cfg.parallel_scan = options.parallel_scans;
         return run_gra(p, cfg);
       }});
   algorithms.push_back(AlgorithmEntry{
       "Ae-Star", [options](const drp::Problem& p, std::uint64_t) {
         AeStarConfig cfg;
-        cfg.eval = options.eval;
         cfg.parallel_scan = options.parallel_scans;
         return run_aestar(p, cfg);
       }});
@@ -62,31 +59,27 @@ std::vector<AlgorithmEntry> extended_algorithms(const AlgoOptions& options) {
   // The seventh baseline: genuinely distributed Glauber dynamics (the
   // paper's six stay in all_algorithms so its tables keep their shape).
   algorithms.push_back(AlgorithmEntry{
-      "Glauber", [options](const drp::Problem& p, std::uint64_t seed) {
+      "Glauber", [](const drp::Problem& p, std::uint64_t seed) {
         GlauberConfig cfg;
         cfg.seed = seed;
-        cfg.eval = options.eval;
         return run_glauber(p, cfg).placement;
       }});
   algorithms.push_back(AlgorithmEntry{
-      "Selfish", [options](const drp::Problem& p, std::uint64_t seed) {
+      "Selfish", [](const drp::Problem& p, std::uint64_t seed) {
         SelfishCachingConfig cfg;
         cfg.seed = seed;
-        cfg.eval = options.eval;
         return run_selfish_caching(p, cfg).placement;
       }});
   algorithms.push_back(AlgorithmEntry{
-      "LocalSearch", [options](const drp::Problem& p, std::uint64_t seed) {
+      "LocalSearch", [](const drp::Problem& p, std::uint64_t seed) {
         LocalSearchConfig cfg;
         cfg.seed = seed;
-        cfg.eval = options.eval;
         return run_local_search(p, cfg);
       }});
   algorithms.push_back(AlgorithmEntry{
       "SA", [options](const drp::Problem& p, std::uint64_t seed) {
         AnnealingConfig cfg;
         cfg.seed = seed;
-        cfg.eval = options.eval;
         cfg.parallel_scan = options.parallel_scans;
         return run_annealing(p, cfg);
       }});

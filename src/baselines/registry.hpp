@@ -1,6 +1,8 @@
-// Uniform access to all six replica-placement methods, in the paper's
-// comparison order.  The bench harness sweeps this list to regenerate every
-// figure/table.
+// Uniform access to the replica-placement methods: the paper's six in its
+// comparison order, plus the extended set.  The bench harness sweeps these
+// lists to regenerate every figure/table.  Each baseline has one pricing
+// path (drp::DeltaEvaluator); the only cross-cutting knob left is whether
+// its scans may fan out over the shared pool.
 #pragma once
 
 #include <cstdint>
@@ -8,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "baselines/eval_path.hpp"
 #include "drp/placement.hpp"
 #include "drp/problem.hpp"
 
@@ -18,10 +19,8 @@ namespace agtram::baselines {
 /// them (AGT-RAM and the auction mechanisms have their own runtime policy
 /// and ignore these).
 struct AlgoOptions {
-  /// Naive forces the full-recomputation oracle paths; Delta (default) the
-  /// incremental engine.  Placements and costs are bit-identical either way.
-  EvalPath eval = EvalPath::Delta;
-  /// Enables the delta paths' pool-parallel candidate scans.
+  /// Enables the pool-parallel candidate scans of Greedy, GRA, Aε-Star and
+  /// SA.  Placements and costs are bit-identical either way.
   bool parallel_scans = true;
 };
 

@@ -13,50 +13,18 @@ namespace agtram::baselines {
 
 namespace {
 
-/// One best-response turn, naive oracle: rescan every candidate after each
-/// placement, first strict maximum in ascending-object order.
-bool naive_turn(const drp::Problem& problem, drp::ReplicaPlacement& placement,
-                drp::ServerId i, std::size_t& moves) {
-  bool moved = false;
-  for (;;) {
-    double best = 0.0;
-    drp::ObjectIndex best_k = 0;
-    std::size_t scanned = 0;
-    std::size_t pruned = 0;
-    for (const auto& access : problem.access.server_objects(i)) {
-      if (access.reads == 0 || !placement.can_replicate(i, access.object)) {
-        ++pruned;
-        continue;
-      }
-      ++scanned;
-      const double benefit =
-          drp::CostModel::agent_benefit(placement, i, access.object);
-      if (benefit > best) {
-        best = benefit;
-        best_k = access.object;
-      }
-    }
-    AGTRAM_OBS_COUNT("selfish.candidates_scanned", scanned);
-    AGTRAM_OBS_COUNT("selfish.candidates_pruned", pruned);
-    if (best <= 0.0) break;
-    placement.add_replica(i, best_k);
-    ++moves;
-    moved = true;
-  }
-  return moved;
-}
-
-/// Delta turn: server i's benefit for object k only depends on k's own NN
-/// structure and i's free capacity, and i's adds never touch another
-/// object's NN row — so all benefits are computed once, sorted descending
-/// (ties to the lowest object, matching the naive first-strict-max over
-/// ascending objects), and walked with a feasibility re-check.  Capacity
-/// only shrinks within a turn, so the walk replays the naive pick sequence
-/// exactly.
-bool delta_turn(const drp::Problem& problem, drp::ReplicaPlacement& placement,
-                drp::ServerId i, const std::vector<std::size_t>& slots,
-                std::vector<std::pair<double, drp::ObjectIndex>>& candidates,
-                std::size_t& moves) {
+/// One best-response turn: server i's benefit for object k only depends on
+/// k's own NN structure and i's free capacity, and i's adds never touch
+/// another object's NN row — so all benefits are computed once, sorted
+/// descending (ties to the lowest object, matching a first-strict-max rescan
+/// over ascending objects), and walked with a feasibility re-check.
+/// Capacity only shrinks within a turn, so the walk replays the pick
+/// sequence of a full rescan after every placement exactly.
+bool best_response_turn(
+    const drp::Problem& problem, drp::ReplicaPlacement& placement,
+    drp::ServerId i, const std::vector<std::size_t>& slots,
+    std::vector<std::pair<double, drp::ObjectIndex>>& candidates,
+    std::size_t& moves) {
   candidates.clear();
   const auto objects = problem.access.server_objects(i);
   std::size_t scanned = 0;
@@ -96,28 +64,25 @@ SelfishCachingResult run_selfish_caching(const drp::Problem& problem,
   std::vector<drp::ServerId> order(problem.server_count());
   std::iota(order.begin(), order.end(), 0);
 
-  // Delta path: resolve each (server, object) demand cell's accessor slot
-  // once up front, so per-turn benefit gathering skips the binary search
+  // Resolve each (server, object) demand cell's accessor slot once up
+  // front, so per-turn benefit gathering skips the binary search
   // agent_benefit performs on every call.
-  std::vector<std::vector<std::size_t>> slots;
+  std::vector<std::vector<std::size_t>> slots(problem.server_count());
   std::vector<std::pair<double, drp::ObjectIndex>> candidates;
-  if (config.eval == EvalPath::Delta) {
-    slots.resize(problem.server_count());
-    common::ThreadPool::shared().parallel_for(
-        0, problem.server_count(),
-        [&](std::size_t first, std::size_t last) {
-          for (std::size_t i = first; i < last; ++i) {
-            const auto objects =
-                problem.access.server_objects(static_cast<drp::ServerId>(i));
-            slots[i].resize(objects.size());
-            for (std::size_t c = 0; c < objects.size(); ++c) {
-              slots[i][c] = problem.access.accessor_slot(
-                  static_cast<drp::ServerId>(i), objects[c].object);
-            }
+  common::ThreadPool::shared().parallel_for(
+      0, problem.server_count(),
+      [&](std::size_t first, std::size_t last) {
+        for (std::size_t i = first; i < last; ++i) {
+          const auto objects =
+              problem.access.server_objects(static_cast<drp::ServerId>(i));
+          slots[i].resize(objects.size());
+          for (std::size_t c = 0; c < objects.size(); ++c) {
+            slots[i][c] = problem.access.accessor_slot(
+                static_cast<drp::ServerId>(i), objects[c].object);
           }
-        },
-        /*min_grain=*/64);
-  }
+        }
+      },
+      /*min_grain=*/64);
 
   bool anyone_moved = true;
   while (anyone_moved) {
@@ -128,11 +93,9 @@ SelfishCachingResult run_selfish_caching(const drp::Problem& problem,
       std::swap(order[i - 1], order[rng.below(i)]);
     }
     for (const drp::ServerId i : order) {
-      const bool moved =
-          config.eval == EvalPath::Delta
-              ? delta_turn(problem, result.placement, i, slots[i], candidates,
-                           result.moves)
-              : naive_turn(problem, result.placement, i, result.moves);
+      const bool moved = best_response_turn(problem, result.placement, i,
+                                            slots[i], candidates,
+                                            result.moves);
       anyone_moved = anyone_moved || moved;
       if (moved) AGTRAM_OBS_COUNT("selfish.moves", 1);
     }

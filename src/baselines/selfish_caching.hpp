@@ -10,12 +10,13 @@
 // AGT-RAM isolates what the *mechanism* adds on top of the game: ordered
 // (value-priority) convergence, payments, and the centre's single point of
 // truth — the equilibrium itself is reachable without any of it, only more
-// slowly and with no truthfulness story.
+// slowly and with no truthfulness story.  Each turn prices the server's
+// candidates once and walks them in benefit order, which replays a full
+// rescan after every placement pick for pick.
 #pragma once
 
 #include <cstdint>
 
-#include "baselines/eval_path.hpp"
 #include "drp/placement.hpp"
 #include "drp/problem.hpp"
 
@@ -27,11 +28,6 @@ struct SelfishCachingConfig {
   std::uint64_t seed = 1;
   /// Safety valve on best-response sweeps (0 = until equilibrium).
   std::size_t max_sweeps = 0;
-  /// Delta: each turn gathers agent benefits once and walks them in sorted
-  /// order (benefits of a server's other objects are invariant under its own
-  /// adds, so the naive per-add rescan re-derives the same numbers).  Naive:
-  /// the original full rescan after every placement.  Same bits either way.
-  EvalPath eval = EvalPath::Delta;
 };
 
 struct SelfishCachingResult {

@@ -2,12 +2,13 @@
 // scoped span timers, and per-round trace gauges.
 //
 // The subsystem exists to make the auto-tuned policies visible (DESIGN.md
-// §9): ReportMode::Auto, the baselines' EvalPath, and the round-size-aware
-// PARFOR all take decisions per instance/round that used to be invisible in
-// BENCH_mechanism.json.  Counters expose the internal work those decisions
-// trade off (dirty-set re-polls, heap pops, delta-cache refreshes, chunks
-// claimed, wire bytes); spans time coarse phases; the trace sink records
-// per-round gauge snapshots next to the decision that produced them.
+// §9): ReportMode::Auto, the baselines' parallel-scan cutoffs, and the
+// round-size-aware PARFOR all take decisions per instance/round that used
+// to be invisible in BENCH_mechanism.json.  Counters expose the internal
+// work those decisions trade off (dirty-set re-polls, heap pops,
+// delta-cache refreshes, chunks claimed, wire bytes); spans time coarse
+// phases; the trace sink records per-round gauge snapshots next to the
+// decision that produced them.
 //
 // Cost contract (enforced by tools/bench_gate.sh and tests/obs_test.cpp):
 //

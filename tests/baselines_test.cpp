@@ -1,6 +1,10 @@
 // Tests for the five comparison baselines and the brute-force oracle.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "baselines/aestar.hpp"
 #include "baselines/auctions.hpp"
 #include "baselines/brute_force.hpp"
@@ -104,6 +108,24 @@ TEST(Greedy, SiteMaskIsRespected) {
     for (const drp::ServerId i : placement.replicators(k)) {
       if (i == p.primary[k]) continue;
       EXPECT_TRUE(allowed[i]) << "replica on masked server " << i;
+    }
+  }
+}
+
+TEST(Greedy, MisSizedSiteMaskThrows) {
+  const drp::Problem p = testutil::small_instance(109, 20, 60);
+  for (const std::size_t size : {p.server_count() - 1, p.server_count() + 1}) {
+    const std::vector<bool> allowed(size, true);
+    GreedyConfig cfg;
+    cfg.allowed_sites = &allowed;
+    try {
+      run_greedy_from(p, drp::ReplicaPlacement(p), cfg);
+      ADD_FAILURE() << "mask of size " << size << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::to_string(size)), std::string::npos) << what;
+      EXPECT_NE(what.find(std::to_string(p.server_count())), std::string::npos)
+          << what;
     }
   }
 }

@@ -1,8 +1,10 @@
 // Shared fixtures: tiny hand-constructed DRP instances with known geometry,
 // used by the cost-model oracle tests and the mechanism/baseline suites,
-// and the binary-heap Dijkstra the distance engine is checked against.
+// the binary-heap Dijkstra the distance engine is checked against, and the
+// replicator-set digest the baseline goldens pin.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <queue>
@@ -11,6 +13,7 @@
 
 #include "drp/access_matrix.hpp"
 #include "drp/builder.hpp"
+#include "drp/placement.hpp"
 #include "drp/problem.hpp"
 #include "net/shortest_paths.hpp"
 
@@ -86,6 +89,26 @@ inline drp::Problem small_instance(std::uint64_t seed = 11,
   spec.instance.capacity_fraction = capacity;
   spec.instance.rw_ratio = rw;
   return drp::make_instance(spec);
+}
+
+/// FNV-1a (64-bit) over every object's replicator set in object order:
+/// each set contributes its size, then its server ids, each as four
+/// little-endian bytes.  Equal digests mean equal placements for golden
+/// purposes.
+inline std::uint64_t replicator_digest(const drp::ReplicaPlacement& placement) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](std::uint32_t value) {
+    for (int byte = 0; byte < 4; ++byte) {
+      hash ^= (value >> (8 * byte)) & 0xffu;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  for (drp::ObjectIndex k = 0; k < placement.problem().object_count(); ++k) {
+    const auto reps = placement.replicators(k);
+    mix(static_cast<std::uint32_t>(reps.size()));
+    for (const drp::ServerId s : reps) mix(s);
+  }
+  return hash;
 }
 
 }  // namespace agtram::testutil

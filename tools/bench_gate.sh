@@ -8,7 +8,7 @@
 # against the committed BENCH_mechanism.json: any row whose wall time regressed by more
 # than the threshold (default 25%) fails the gate.  Rows are matched on the
 # full identity key (servers, objects, demand, layout, incremental_reports,
-# parallel_agents, algorithm, eval, parallel_scan, variant, regions,
+# parallel_agents, algorithm, parallel_scan, variant, regions,
 # execution — absent fields match as null); committed rows with no fresh
 # counterpart (historical captures, e.g. the layout="nested" before-rows)
 # are skipped, as are fresh rows that are new.
@@ -92,7 +92,7 @@ threshold, min_delta = float(sys.argv[3]), float(sys.argv[4])
 extra_paths = sys.argv[5:]
 KEY = ("benchmark", "servers", "objects", "demand", "layout",
        "incremental_reports", "parallel_agents",
-       "algorithm", "eval", "parallel_scan", "variant",
+       "algorithm", "parallel_scan", "variant",
        "regions", "execution")
 GATED = ("mechanism_full_run", "baseline_run", "kernel_object_cost",
          "kernel_nn_min", "kernel_global_benefit", "kernel_best_add_scan",

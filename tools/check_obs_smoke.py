@@ -5,7 +5,8 @@ Usage: check_obs_smoke.py BENCH_JSON OBS_JSONL [--expect-counters]
 
 Checks that the micro_core trajectory JSON parses, that every timed row
 carries an `obs` block whose decisions name the Auto-policy pick
-(ReportMode / EvalPath) together with the inputs that decided it, and that
+(ReportMode, the baselines' scan cutoffs) together with the inputs that
+decided it, and that
 the --obs-trace JSONL parses line by line.  With --expect-counters (an
 -DAGTRAM_OBS=ON binary) it additionally requires counter deltas on the rows
 and per-round gauge lines in the trace.
@@ -28,7 +29,6 @@ MECHANISM_DECISIONS = [
     "pool_workers",
 ]
 BASELINE_DECISIONS = [
-    "eval_path",
     "parallel_scan",
     "scan_min_servers",
     "scan_servers",
@@ -90,7 +90,6 @@ GLAUBER_DECISIONS = [
     "sweeps",
     "initial_temperature_fraction",
     "cooling_rate",
-    "eval_path",
     "bus_attached",
 ]
 GLAUBER_COUNTERS = ["glauber.sweeps", "glauber.proposals", "glauber.accepted"]
@@ -195,8 +194,11 @@ def main():
             fail("mechanism_auto_mode row did not request auto")
     for row in base:
         obs = check_decisions(row, BASELINE_DECISIONS, "baseline_run row")
-        if obs["decisions"]["eval_path"] != row["eval"]:
-            fail("baseline_run eval_path disagrees with the row's eval field")
+        if obs["decisions"]["parallel_scan"] != row["parallel_scan"]:
+            fail(
+                "baseline_run parallel_scan disagrees with the row's"
+                " parallel_scan field"
+            )
     for row in regional:
         obs = check_decisions(row, REGIONAL_DECISIONS, f"{row['benchmark']} row")
         decisions = obs["decisions"]
@@ -292,8 +294,6 @@ def main():
 
     for row in glauber:
         obs = check_decisions(row, GLAUBER_DECISIONS, "glauber_run row")
-        if obs["decisions"]["eval_path"] != row["eval"]:
-            fail("glauber_run eval_path disagrees with the row's eval field")
         if not obs["decisions"]["bus_attached"]:
             fail("glauber_run row ran without a MessageBus")
         if not row.get("wire_proposal_bytes") or \

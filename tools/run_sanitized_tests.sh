@@ -9,7 +9,9 @@
 # observability layer too (-DAGTRAM_OBS=ON) so the relaxed counter atomics
 # and the trace-sink pointer are under the same sanitizers as the pool.  The
 # text parsers (test_drp, test_horizon, test_trace), the randomized fuzz
-# instances and the layout goldens ride along for ASan/UBSan coverage.
+# instances and the layout goldens ride along for ASan/UBSan coverage, as do
+# the baseline suites (the goldens plus the per-baseline behaviour tests),
+# whose candidate scans fan out over the pool.
 #
 # Usage:  tools/run_sanitized_tests.sh [build-dir]
 #   SAN=address|thread|undefined   sanitizer to use (default: thread)
@@ -20,7 +22,8 @@ BUILD="${1:-build-${SAN}san}"
 SRC="$(cd "$(dirname "$0")/.." && pwd)"
 
 # The binaries built and run, in run order.
-TESTS="test_common test_net test_mechanism test_runtime test_baselines_delta
+TESTS="test_common test_net test_mechanism test_runtime test_baselines
+       test_baselines_delta test_extended_baselines
        test_kernels test_online test_obs test_obs_noop test_regional
        test_serving test_strategic test_glauber test_tree_placement
        test_trace test_characterize test_drp test_horizon test_fuzz
@@ -38,8 +41,8 @@ cmake --build "$BUILD" -j "$(nproc)" --target $TESTS
 status=0
 for t in $TESTS; do
   echo "== $SAN-sanitized $t =="
-  # The paper-scale differential cases take minutes under a sanitizer's
-  # slowdown; the small-family + fuzz cases exercise the same parallel scans.
+  # The paper-scale golden cases take minutes under a sanitizer's slowdown;
+  # the small-family + fuzz cases exercise the same parallel scans.
   filter=""
   [ "$t" = test_baselines_delta ] && filter="--gtest_filter=-PaperScaleDelta.*"
   if ! "$BUILD/tests/$t" $filter; then
